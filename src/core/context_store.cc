@@ -302,13 +302,6 @@ ContextStore::PrefixMatch ContextStore::BestPrefixMatch(
   return best;
 }
 
-size_t ContextStore::BestPrefixMatchLength(std::span<const int32_t> tokens) const {
-  // Same trie walk session creation's match uses, minus the pin — probe-based
-  // admission estimates can never diverge from the matching semantics.
-  std::shared_lock<std::shared_mutex> lk(mu_);
-  return prefix_index_.BestPrefix(tokens).matched;
-}
-
 ContextStore::PrefixProbe ContextStore::BestPrefixProbe(
     std::span<const int32_t> tokens) const {
   std::shared_lock<std::shared_mutex> lk(mu_);

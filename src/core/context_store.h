@@ -228,18 +228,13 @@ class ContextStore {
   /// invisible until published, spilled entries stay (match.spilled set).
   PrefixMatch BestPrefixMatch(std::span<const int32_t> tokens) const;
 
-  /// Length of the longest stored prefix of `tokens`, without pinning the
-  /// matched context — the cheap probe admission control uses to project how
-  /// many prompt tokens a request would have to prefill. The store may change
-  /// before the session is actually created; callers treat this as an
-  /// estimate, not a reservation.
-  size_t BestPrefixMatchLength(std::span<const int32_t> tokens) const;
-
-  /// Everything placement-aware admission wants from one trie walk, still
-  /// without pinning: the match length plus the winning context's id and
+  /// Everything placement-aware admission wants from one trie walk, without
+  /// pinning the matched context: the match length (how many prompt tokens a
+  /// request would NOT have to prefill) plus the winning context's id and
   /// device residency (the affinity target). device == -1 when nothing
   /// matched; `spilled` tells the serving layer to prefetch the page-in off
-  /// the decode path. Same TOCTOU caveat as BestPrefixMatchLength.
+  /// the decode path. The store may change before the session is actually
+  /// created; callers treat this as an estimate, not a reservation.
   struct PrefixProbe {
     size_t matched = 0;
     uint64_t context_id = 0;

@@ -82,7 +82,7 @@ class AdjacencyGraph {
 };
 
 /// A graph index searchable by the query-layer algorithms (top-k beam search,
-/// DIPRS, filtered DIPRS). Concrete types: RoarGraph, Hnsw (base layer).
+/// DIPRS, filtered DIPRS). Concrete type: RoarGraph.
 class SearchableGraph {
  public:
   virtual ~SearchableGraph() = default;
@@ -90,8 +90,7 @@ class SearchableGraph {
   virtual const AdjacencyGraph& graph() const = 0;
   virtual VectorSetView vectors() const = 0;
 
-  /// A good starting node for query q (e.g., HNSW upper-layer descent or a
-  /// fixed medoid/max-norm entry).
+  /// A good starting node for query q (e.g., a fixed medoid/max-norm entry).
   virtual uint32_t EntryPoint(const float* q) const = 0;
 };
 

@@ -71,27 +71,4 @@ SearchResult GraphTopK(const AdjacencyGraph& graph, const ScoringView& vectors,
   return res;
 }
 
-uint32_t GreedyDescend(const AdjacencyGraph& graph, const ScoringView& vectors,
-                       uint32_t entry, const float* q, SearchStats* stats) {
-  const QueryScorer scorer(vectors, q);
-  uint32_t cur = entry;
-  float cur_score = scorer.Score(cur);
-  if (stats) stats->dist_comps++;
-  bool improved = true;
-  while (improved) {
-    improved = false;
-    for (uint32_t v : graph.Neighbors(cur)) {
-      const float s = scorer.Score(v);
-      if (stats) stats->dist_comps++;
-      if (s > cur_score) {
-        cur_score = s;
-        cur = v;
-        improved = true;
-      }
-    }
-    if (stats) stats->hops++;
-  }
-  return cur;
-}
-
 }  // namespace alaya

@@ -28,9 +28,4 @@ SearchResult GraphTopK(const AdjacencyGraph& graph, const ScoringView& vectors,
                        uint32_t entry, const float* q, const TopKParams& params,
                        VisitedSet* visited = nullptr);
 
-/// Greedy 1-best descent (used by HNSW upper layers): repeatedly moves to the
-/// best-scoring neighbor until no improvement.
-uint32_t GreedyDescend(const AdjacencyGraph& graph, const ScoringView& vectors,
-                       uint32_t entry, const float* q, SearchStats* stats = nullptr);
-
 }  // namespace alaya

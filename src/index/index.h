@@ -3,7 +3,7 @@
 // The query optimizer (Fig. 8) chooses among three index classes:
 //   - kFlat:   scan all keys (sequential memory access, O(n))
 //   - kCoarse: block-grained selection, blocks cached on (simulated) GPU
-//   - kFine:   per-key graph index (RoarGraph / HNSW), searched on CPU
+//   - kFine:   per-key graph index (RoarGraph), searched on CPU
 #pragma once
 
 #include <cstdint>

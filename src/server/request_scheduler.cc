@@ -184,12 +184,6 @@ size_t RequestScheduler::GrantChunk(size_t remaining_need, size_t* budget_left) 
   return grant;
 }
 
-AdmissionEstimate RequestScheduler::Estimate(const ServingRequest& request) const {
-  const size_t reused =
-      options_.prefix_probe != nullptr ? options_.prefix_probe(request.prompt) : 0;
-  return Estimate(request, reused);
-}
-
 PlacementDecision RequestScheduler::PlaceLocked(const Admitted& item) const {
   PlacementRequest preq;
   preq.gpu_bytes = item.estimate.gpu_bytes;
@@ -221,19 +215,12 @@ std::chrono::steady_clock::time_point RequestScheduler::Admitted::Deadline() con
 RequestScheduler::EnqueuePreflight RequestScheduler::Preflight(
     const ServingRequest& request) const {
   EnqueuePreflight pre;
+  RequestSchedulerOptions::PrefixProbeResult probe;
   if (options_.placement_probe != nullptr) {
-    // One trie walk, one store snapshot: estimate and affinity agree on the
-    // matched context by construction.
-    const RequestSchedulerOptions::PrefixProbeResult probe =
-        options_.placement_probe(request.prompt);
-    pre.estimate = Estimate(request, probe.matched);
-    pre.affinity_device = probe.affinity_device;
-    return pre;
+    probe = options_.placement_probe(request.prompt);
   }
-  pre.estimate = Estimate(request);
-  pre.affinity_device = options_.affinity_probe != nullptr
-                            ? options_.affinity_probe(request.prompt)
-                            : -1;
+  pre.estimate = Estimate(request, probe.matched);
+  pre.affinity_device = probe.affinity_device;
   return pre;
 }
 

@@ -144,17 +144,13 @@ struct RequestSchedulerOptions {
   /// KV bytes with an affinity win for the device already holding the
   /// request's matched prefix context).
   std::shared_ptr<const PlacementPolicy> placement;
-  /// Probe returning the device where the best-prefix context for a prompt
-  /// currently resides (-1 = no match) — the placement affinity signal. Null
-  /// means no affinity information (every placement is cold). Only consulted
-  /// when placement_probe is unset.
-  std::function<int(std::span<const int32_t>)> affinity_probe;
-  /// Combined store probe: matched prefix length AND the matched context's
-  /// device from ONE trie walk over ONE store snapshot (the serving engine
-  /// wires this to ContextStore::BestPrefixProbe). When set, Preflight uses
-  /// it instead of the prefix_probe + affinity_probe pair — halving store
-  /// read-lock pressure per Submit and guaranteeing the estimate and the
-  /// affinity target agree on which context matched.
+  /// Store probe: matched prefix length AND the matched context's device
+  /// from ONE trie walk over ONE store snapshot (the serving engine wires
+  /// this to ContextStore::BestPrefixProbe), so the admission estimate and
+  /// the placement affinity target agree on which context matched. Null
+  /// means no reuse and no affinity information: every prompt token is
+  /// assumed to need prefill (the conservative upper bound) and every
+  /// placement is cold.
   struct PrefixProbeResult {
     size_t matched = 0;
     int affinity_device = -1;
@@ -182,11 +178,6 @@ struct RequestSchedulerOptions {
   /// (clamped to >= 1 — a zero floor would livelock prefill behind a large
   /// decode batch).
   size_t min_prefill_tokens = 1;
-  /// Probe returning the longest stored-context prefix of a prompt (the
-  /// serving engine wires this to ContextStore::BestPrefixMatchLength). Null
-  /// means no reuse information: every prompt token is assumed to need
-  /// prefill, the conservative upper bound.
-  std::function<size_t(std::span<const int32_t>)> prefix_probe;
   /// Admission-ordering / preemption strategy (nullptr -> FairSharePolicy:
   /// strict priority classes, weighted deficit round-robin across tenants
   /// over modeled device-seconds, EDF within a tenant — which degenerates to
@@ -222,9 +213,6 @@ class RequestScheduler {
   /// tokens are covered by a stored context (no lock needed; pure computation).
   AdmissionEstimate Estimate(const ServingRequest& request,
                              size_t reused_prefix) const;
-
-  /// Projected footprint using the prefix probe (or zero reuse without one).
-  AdmissionEstimate Estimate(const ServingRequest& request) const;
 
   /// How one engine step's token budget splits between the decode batch and
   /// the prefilling sessions (see RequestSchedulerOptions::step_token_budget).
@@ -289,10 +277,10 @@ class RequestScheduler {
     std::chrono::steady_clock::time_point Deadline() const;
   };
 
-  /// Precomputed enqueue inputs: the admission estimate (prefix probe) and
-  /// the placement affinity target. Both probes walk the context store's
-  /// prefix trie — O(prompt length) — so callers holding their own locks
-  /// (the engine's Submit) run Preflight first, outside them.
+  /// Precomputed enqueue inputs: the admission estimate and the placement
+  /// affinity target, both from one placement_probe call. The probe walks the
+  /// context store's prefix trie — O(prompt length) — so callers holding
+  /// their own locks (the engine's Submit) run Preflight first, outside them.
   struct EnqueuePreflight {
     AdmissionEstimate estimate;
     int affinity_device = -1;
@@ -303,7 +291,7 @@ class RequestScheduler {
   /// implement backpressure without string-matching: kBacklogFull (the queue
   /// is at max_queue_depth right now — retryable) vs kNeverFits (the request
   /// exceeds the memory budget even running alone — permanent). Returns the
-  /// request id. The two-arg form skips the store probes (see Preflight).
+  /// request id. The two-arg form skips the store probe (see Preflight).
   Result<uint64_t> Enqueue(ServingRequest request);
   Result<uint64_t> Enqueue(ServingRequest request, const EnqueuePreflight& pre);
 

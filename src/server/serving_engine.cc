@@ -20,7 +20,7 @@ std::string SuspendSpillPrefix(uint64_t request_id) {
 }
 
 /// Normalizes engine options: clamps the fleet size, mirrors it into the
-/// scheduler, and defaults the scheduler's probes to the DB's context store —
+/// scheduler, and defaults the scheduler's probe to the DB's context store —
 /// admission then projects prefill work from what is actually stored, and
 /// placement sees which device holds the matched context (affinity).
 ServingEngineOptions WithDefaults(AlayaDB* db, ServingEngineOptions o) {
@@ -32,16 +32,6 @@ ServingEngineOptions WithDefaults(AlayaDB* db, ServingEngineOptions o) {
   o.max_gang_size = std::clamp<size_t>(
       std::max(o.max_gang_size, o.scheduler.max_gang_size), 1, o.devices);
   o.scheduler.max_gang_size = o.max_gang_size;
-  if (o.scheduler.prefix_probe == nullptr) {
-    o.scheduler.prefix_probe = [db](std::span<const int32_t> tokens) {
-      return db->contexts().BestPrefixMatchLength(tokens);
-    };
-  }
-  if (o.scheduler.affinity_probe == nullptr) {
-    o.scheduler.affinity_probe = [db](std::span<const int32_t> tokens) {
-      return db->contexts().BestPrefixProbe(tokens).device;
-    };
-  }
   if (o.scheduler.placement_probe == nullptr) {
     // The Submit fast path: matched length + affinity device from one walk.
     // Hitting a spilled context here is the prefetch hook: the page-in runs
@@ -169,9 +159,9 @@ Status ServingEngine::RunToCompletion() {
 
 Result<RequestHandle> ServingEngine::Submit(ServingRequest request) {
   auto ticket = std::make_shared<RequestTicket>();
-  // The store probes (admission estimate + placement affinity) are
-  // O(prompt-length) trie walks — run them before taking mu_ so concurrent
-  // submitters never stall the driver's finalize/snapshot paths on them.
+  // The store probe (admission estimate + placement affinity) is an
+  // O(prompt-length) trie walk — run it before taking mu_ so concurrent
+  // submitters never stall the driver's finalize/snapshot paths on it.
   const RequestScheduler::EnqueuePreflight pre = scheduler_.Preflight(request);
   {
     // Enqueue and ticket registration are one atomic step under mu_: any

@@ -383,7 +383,7 @@ class ServingEngine {
 
   /// `db` must outlive the engine. The scheduler plans against the DB's model
   /// geometry, session window config, and environment cost model; unless the
-  /// caller supplies one, its prefix probe is wired to the DB's context store
+  /// caller supplies one, its placement probe is wired to the DB's context store
   /// so admission projects prefill work from live store contents.
   ServingEngine(AlayaDB* db, const ServingEngineOptions& options);
   /// Aborts a still-running driver (queued and active requests retire with

@@ -220,27 +220,30 @@ TEST(ContextStoreTest, PrefixIndexSeesPublishButNeverPending) {
   ModelConfig m = ModelConfig::Tiny();
   const std::vector<int32_t> tokens = {6, 6, 6};
   const uint64_t id = store.ReservePending();
-  // Reservation alone indexes nothing (probed via the cheap length probe the
+  // Reservation alone indexes nothing (probed via the unpinned probe the
   // admission path uses, which shares the trie walk).
-  EXPECT_EQ(store.BestPrefixMatchLength(tokens), 0u);
+  EXPECT_EQ(store.BestPrefixProbe(tokens).matched, 0u);
   ASSERT_TRUE(
       store.Publish(id, std::make_unique<Context>(0, tokens, MakeKv(m, 3, 22))).ok());
-  EXPECT_EQ(store.BestPrefixMatchLength(tokens), 3u);
+  EXPECT_EQ(store.BestPrefixProbe(tokens).matched, 3u);
   EXPECT_EQ(store.BestPrefixMatch(tokens).context->id(), id);
   // An aborted reservation never touched the index.
   const uint64_t dead = store.ReservePending();
   EXPECT_TRUE(store.AbortPending(dead));
-  EXPECT_EQ(store.BestPrefixMatchLength(tokens), 3u);
+  EXPECT_EQ(store.BestPrefixProbe(tokens).matched, 3u);
 }
 
-TEST(ContextStoreTest, PrefixLengthProbeAgreesWithFullMatch) {
+TEST(ContextStoreTest, PrefixProbeAgreesWithFullMatch) {
   ContextStore store;
   ModelConfig m = ModelConfig::Tiny();
   store.Add(std::make_unique<Context>(0, Tokens({5, 4, 3, 2, 1}), MakeKv(m, 5, 23)));
   store.Add(std::make_unique<Context>(0, Tokens({5, 4, 9}), MakeKv(m, 3, 24)));
   for (const auto& query :
        {Tokens({5, 4, 3}), Tokens({5, 4, 9, 9}), Tokens({5}), Tokens({2}), Tokens({})}) {
-    EXPECT_EQ(store.BestPrefixMatchLength(query), store.BestPrefixMatch(query).matched);
+    const ContextStore::PrefixProbe probe = store.BestPrefixProbe(query);
+    const ContextStore::PrefixMatch match = store.BestPrefixMatch(query);
+    EXPECT_EQ(probe.matched, match.matched);
+    EXPECT_EQ(probe.context_id, match.id);
   }
 }
 

@@ -52,15 +52,6 @@ TEST(GraphSearchTest, GraphTopKTruncates) {
   EXPECT_EQ(res.hits.size(), 3u);
 }
 
-TEST(GraphSearchTest, GreedyDescendReachesLocalMax) {
-  RingFixture fx(30);
-  std::vector<float> q = {1.f, 0.f, 0.f, 0.f};
-  SearchStats stats;
-  const uint32_t end = GreedyDescend(fx.graph, fx.keys.View(), 0, q.data(), &stats);
-  EXPECT_EQ(end, 29u);
-  EXPECT_GT(stats.dist_comps, 0u);
-}
-
 TEST(GraphSearchTest, EmptyGraphAndZeroEf) {
   AdjacencyGraph g;
   VectorSetView empty;

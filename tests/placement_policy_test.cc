@@ -133,6 +133,11 @@ TEST(PlacementPolicyTest, LeastLoadedSpreadsAcrossIdleFleet) {
 
 // --- Scheduler integration: per-device accounting over the policy. ---
 
+/// Store probe reporting every prompt fully stored, with no affinity.
+RequestSchedulerOptions::PrefixProbeResult FullReuse(std::span<const int32_t> t) {
+  return {t.size()};
+}
+
 struct SchedulerFixture {
   ModelConfig model = ModelConfig::Tiny();
   WindowConfig window{8, 16};
@@ -157,7 +162,7 @@ TEST(PlacementSchedulerTest, AdmitAssignsDevicesAndTracksPerDeviceLoad) {
   RequestSchedulerOptions options;
   options.devices = 2;
   // Full reuse: footprint is window + decoded tail only.
-  options.prefix_probe = [](std::span<const int32_t> t) { return t.size(); };
+  options.placement_probe = FullReuse;
   RequestScheduler probe = fx.Make(options);
   const uint64_t one = probe.Estimate(fx.MakeServing(100, 4), 100).gpu_bytes;
   ASSERT_GT(one, 0u);
@@ -196,7 +201,7 @@ TEST(PlacementSchedulerTest, HotDeviceDoesNotThrottleIdleOnes) {
   SchedulerFixture fx;
   RequestSchedulerOptions options;
   options.devices = 2;
-  options.prefix_probe = [](std::span<const int32_t> t) { return t.size(); };
+  options.placement_probe = FullReuse;
 
   // SLO fits one decode session per device but not two together: under the
   // old aggregate check the second request would queue; per-device accounting
@@ -222,7 +227,7 @@ TEST(PlacementSchedulerTest, EnqueueRejectsFootprintNoDeviceCouldHold) {
   SchedulerFixture fx;
   RequestSchedulerOptions options;
   options.devices = 4;
-  options.prefix_probe = [](std::span<const int32_t> t) { return t.size(); };
+  options.placement_probe = FullReuse;
   RequestScheduler probe = fx.Make(options);
   const uint64_t one = probe.Estimate(fx.MakeServing(100, 4), 100).gpu_bytes;
 
@@ -238,9 +243,10 @@ TEST(PlacementSchedulerTest, AffinityProbeRoutesToWarmDevice) {
   SchedulerFixture fx;
   RequestSchedulerOptions options;
   options.devices = 3;
-  options.prefix_probe = [](std::span<const int32_t> t) { return t.size(); };
   // Pretend the matched context is warm on device 2.
-  options.affinity_probe = [](std::span<const int32_t>) { return 2; };
+  options.placement_probe = [](std::span<const int32_t> t) {
+    return RequestSchedulerOptions::PrefixProbeResult{t.size(), /*affinity_device=*/2};
+  };
   RequestScheduler sched = fx.Make(options);
   ASSERT_TRUE(sched.Enqueue(fx.MakeServing(100, 4)).ok());
   auto admitted = sched.Admit();
@@ -252,7 +258,7 @@ TEST(PlacementSchedulerTest, UnlimitedBudgetSpreadsColdRequests) {
   SchedulerFixture fx;
   RequestSchedulerOptions options;
   options.devices = 2;
-  options.prefix_probe = [](std::span<const int32_t> t) { return t.size(); };
+  options.placement_probe = FullReuse;
   RequestScheduler sched = fx.Make(options);
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(sched.Enqueue(fx.MakeServing(100, 4)).ok());
@@ -282,7 +288,7 @@ TEST(PlacementSchedulerTest, NeverFitsHeadIsRemovedNotStuck) {
   RequestSchedulerOptions options;
   options.devices = 2;
   options.placement = std::make_shared<RejectAllPlacement>();
-  options.prefix_probe = [](std::span<const int32_t> t) { return t.size(); };
+  options.placement_probe = FullReuse;
   RequestScheduler sched = fx.Make(options);
   auto a = sched.Enqueue(fx.MakeServing(50, 2));
   auto b = sched.Enqueue(fx.MakeServing(50, 2));

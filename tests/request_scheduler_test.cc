@@ -11,6 +11,8 @@
 namespace alaya {
 namespace {
 
+using Probe = RequestSchedulerOptions::PrefixProbeResult;
+
 struct SchedulerFixture {
   ModelConfig model = ModelConfig::Tiny();
   WindowConfig window{8, 16};
@@ -93,8 +95,8 @@ TEST(RequestSchedulerTest, EffectiveStepSecondsIsWorstPhase) {
 TEST(RequestSchedulerTest, PrefixProbeDrivesEnqueueEstimate) {
   SchedulerFixture fx;
   RequestSchedulerOptions options;
-  options.prefix_probe = [](std::span<const int32_t> tokens) {
-    return tokens.size() / 2;  // Pretend half of every prompt is stored.
+  options.placement_probe = [](std::span<const int32_t> tokens) {
+    return Probe{tokens.size() / 2};  // Pretend half of every prompt is stored.
   };
   RequestScheduler sched = fx.Make(options);
   auto id = sched.Enqueue(fx.MakeRequest(100, 2));
@@ -107,8 +109,9 @@ TEST(RequestSchedulerTest, PrefixProbeDrivesEnqueueEstimate) {
 TEST(RequestSchedulerTest, NoProbeAssumesFullPrefill) {
   SchedulerFixture fx;
   RequestScheduler sched = fx.Make({});
-  const AdmissionEstimate e = sched.Estimate(fx.MakeRequest(100, 2));
-  EXPECT_EQ(e.prefill_tokens, 100u);
+  const RequestScheduler::EnqueuePreflight pre = sched.Preflight(fx.MakeRequest(100, 2));
+  EXPECT_EQ(pre.estimate.prefill_tokens, 100u);
+  EXPECT_EQ(pre.affinity_device, -1);
 }
 
 TEST(RequestSchedulerTest, PrefillFootprintRejectedAtEnqueue) {
@@ -128,7 +131,9 @@ TEST(RequestSchedulerTest, PrefillFootprintRejectedAtEnqueue) {
   EXPECT_EQ(rejected.status().code(), StatusCode::kNeverFits);
 
   // With a probe reporting the prompt fully stored, the same request fits.
-  options.prefix_probe = [](std::span<const int32_t> tokens) { return tokens.size(); };
+  options.placement_probe = [](std::span<const int32_t> tokens) {
+    return Probe{tokens.size()};
+  };
   RequestScheduler informed = fx.Make(options);
   EXPECT_TRUE(informed.Enqueue(fx.MakeRequest(200, 4)).ok());
 }
@@ -139,8 +144,8 @@ TEST(RequestSchedulerTest, PrefillTimeBlocksCoAdmissionUnderTpotSlo) {
   options.prefill_chunk_tokens = 32;
   // Probe: prompts of >= 100 tokens are unmatched (heavy prefill), shorter
   // ones fully stored.
-  options.prefix_probe = [](std::span<const int32_t> tokens) {
-    return tokens.size() >= 100 ? 0 : tokens.size();
+  options.placement_probe = [](std::span<const int32_t> tokens) {
+    return Probe{tokens.size() >= 100 ? 0 : tokens.size()};
   };
 
   // Calibrate the SLO: two decode-only requests fit together, but a decode
@@ -193,7 +198,9 @@ TEST(RequestSchedulerTest, UpdateReservationReanchorsToActualMatch) {
   SchedulerFixture fx;
   RequestSchedulerOptions options;
   // Probe promises full reuse at enqueue...
-  options.prefix_probe = [](std::span<const int32_t> tokens) { return tokens.size(); };
+  options.placement_probe = [](std::span<const int32_t> tokens) {
+    return Probe{tokens.size()};
+  };
   RequestScheduler sched = fx.Make(options);
   const ServingRequest req = fx.MakeRequest(/*prompt_tokens=*/200, /*steps=*/4);
 
@@ -371,8 +378,8 @@ TEST(RequestSchedulerTest, EstimateChunkCappedByStepBudget) {
   // A step budget below the chunk size shrinks the modeled per-step prefill
   // cost: admission reasons about the chunks the engine will actually run.
   const ServingRequest r = SchedulerFixture::MakeRequest(256, 4);
-  EXPECT_LT(sched_tight.Estimate(r).prefill_step_gpu_seconds,
-            sched_wide.Estimate(r).prefill_step_gpu_seconds);
+  EXPECT_LT(sched_tight.Estimate(r, 0).prefill_step_gpu_seconds,
+            sched_wide.Estimate(r, 0).prefill_step_gpu_seconds);
 }
 
 }  // namespace

@@ -134,7 +134,7 @@ TEST(ServingEngineTest, MemoryBudgetSerializesAdmission) {
   ServingEngineOptions opts = fx.EngineOptions(4);
   ServingEngine sized(fx.db.get(), opts);
   const AdmissionEstimate one =
-      sized.scheduler().Estimate(fx.MakeRequest(1, 3));
+      sized.scheduler().Preflight(fx.MakeRequest(1, 3)).estimate;
   ASSERT_GT(one.gpu_bytes, 0u);
   ASSERT_GT(one.step_gpu_seconds, 0.0);
 
@@ -161,7 +161,8 @@ TEST(ServingEngineTest, OversizedRequestRejected) {
   ServingFixture fx;
   ServingEngineOptions opts = fx.EngineOptions(1);
   ServingEngine sized(fx.db.get(), opts);
-  const AdmissionEstimate one = sized.scheduler().Estimate(fx.MakeRequest(1, 3));
+  const AdmissionEstimate one =
+      sized.scheduler().Preflight(fx.MakeRequest(1, 3)).estimate;
 
   opts.scheduler.gpu_budget_bytes = one.gpu_bytes - 1;  // Can never fit.
   ServingEngine engine(fx.db.get(), opts);

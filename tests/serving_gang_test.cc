@@ -5,9 +5,10 @@
 // ring-merged partial softmax is exact, so ganging moves residency, never
 // math. Also: smallest-sufficient-gang admission (a subset budget gangs 2,
 // not 4), the kNeverFits gate relaxing to the largest permitted gang's
-// combined budget, cross-device KV migration racing retirement/re-homing, the
-// driver's skew-triggered rebalance probe, suspend-spill of parked KV to disk
-// with bit-identical resume, and a TSan-targeted multi-gang stress run.
+// combined budget, >= 3x max servable context from gang 1 to gang 4,
+// cross-device KV migration racing retirement/re-homing, the driver's
+// skew-triggered rebalance probe, suspend-spill of parked KV to disk with
+// bit-identical resume, and a TSan-targeted multi-gang stress run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -103,7 +104,7 @@ struct GangFixture {
   /// number the per-device budget is sized against.
   uint64_t FootprintBytes(size_t steps) {
     ServingEngine sizer(db.get(), EngineOptions(1, 1));
-    return sizer.scheduler().Estimate(MakeRequest(0, 1, steps)).gpu_bytes;
+    return sizer.scheduler().Preflight(MakeRequest(0, 1, steps)).estimate.gpu_bytes;
   }
 };
 
@@ -209,6 +210,59 @@ TEST(ServingGangTest, NeverFitsGateRelaxesToLargestPermittedGang) {
     EXPECT_TRUE(h.value().Wait()->status.ok());
     EXPECT_EQ(engine.snapshot().gang_admissions, 1u);
   }
+}
+
+/// Largest zero-reuse prompt the scheduler accepts (rather than rejecting it
+/// with the permanent kNeverFits) when one request may gang up to `gang` of
+/// `devices` devices, each holding `budget_bytes`.
+size_t MaxServableTokens(const ModelConfig& model, const CostModel& cost,
+                         uint64_t budget_bytes, size_t devices, size_t gang) {
+  RequestSchedulerOptions sopts;
+  sopts.gpu_budget_bytes = budget_bytes;
+  sopts.devices = devices;
+  sopts.max_gang_size = gang;
+  // Fresh scheduler per probe: Enqueue holds no reservation, but reusing one
+  // instance would trip the backlog cap long before the search converges.
+  auto fits = [&](size_t tokens) {
+    RequestScheduler sched(model, WindowConfig{32, 128}, cost, sopts);
+    ServingRequest r;
+    r.prompt.assign(tokens, 7);
+    r.max_new_tokens = 1;
+    r.fill_step = [](size_t, uint32_t, float*, float*, float*) {};
+    return sched.Enqueue(std::move(r)).ok();
+  };
+  if (!fits(1)) return 0;
+  size_t lo = 1, hi = 2;
+  while (hi <= (size_t{1} << 24) && fits(hi)) {
+    lo = hi;
+    hi *= 2;
+  }
+  while (lo + 1 < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    (fits(mid) ? lo : hi) = mid;
+  }
+  return lo;
+}
+
+TEST(ServingGangTest, MaxServableContextScalesWithGangSize) {
+  // Scheduler only, so deterministic: the admission boundary of one request
+  // on a 4-device fleet whose per-device budget holds 512 tokens of KV
+  // (bench geometry: 2 layers, 4 q-heads, 2 kv-heads, d=64). A gang of four
+  // must serve at least 3x the context a single device can.
+  const ModelConfig model{2, 4, 2, 64, 2};
+  SimEnvironment env;
+  const uint64_t budget = 512 * model.KvBytesPerToken();
+  std::vector<size_t> max_tokens;
+  for (size_t gang = 1; gang <= 4; ++gang) {
+    max_tokens.push_back(MaxServableTokens(model, env.cost_model(), budget, 4, gang));
+  }
+  ASSERT_GT(max_tokens[0], 0u);
+  for (size_t k = 1; k < max_tokens.size(); ++k) {
+    EXPECT_GT(max_tokens[k], max_tokens[k - 1]) << "gang " << k + 1;
+  }
+  const double scaling =
+      static_cast<double>(max_tokens[3]) / static_cast<double>(max_tokens[0]);
+  EXPECT_GE(scaling, 3.0) << max_tokens[0] << " -> " << max_tokens[3] << " tokens";
 }
 
 TEST(ServingGangTest, MigrateShardSemanticsAndRaces) {

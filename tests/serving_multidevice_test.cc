@@ -122,7 +122,7 @@ TEST(ServingMultiDeviceTest, FourDevicesMatchSingleDeviceGoldenBitIdentical) {
   {
     ServingEngine sizer(fx.db.get(), opts);
     opts.scheduler.gpu_budget_bytes =
-        sizer.scheduler().Estimate(fx.MakeRequest(0, 11, kSteps)).gpu_bytes;
+        sizer.scheduler().Preflight(fx.MakeRequest(0, 11, kSteps)).estimate.gpu_bytes;
     ASSERT_GT(opts.scheduler.gpu_budget_bytes, 0u);
   }
   ServingEngine engine(fx.db.get(), opts);
@@ -181,7 +181,7 @@ TEST(ServingMultiDeviceTest, CrossDeviceReuseChargesTransferAndRehomesContext) {
   {
     ServingEngine sizer(fx.db.get(), opts);
     opts.scheduler.gpu_budget_bytes =
-        sizer.scheduler().Estimate(fx.MakeRequest(0, 7, kSteps)).gpu_bytes;
+        sizer.scheduler().Preflight(fx.MakeRequest(0, 7, kSteps)).estimate.gpu_bytes;
   }
   ServingEngine engine(fx.db.get(), opts);
   auto a = engine.Submit(fx.MakeRequest(0, 7, kSteps));
