@@ -74,7 +74,7 @@ int main() {
   ServingEngineOptions eopts;
   eopts.scheduler.max_concurrent_sessions = 4;
   eopts.scheduler.gpu_budget_bytes = 64ull << 20;  // Per device.
-  eopts.devices = 2;
+  eopts.scheduler.devices = 2;
   eopts.pool = &pool;
   ServingEngine engine(&db, eopts);
   if (!engine.Start().ok()) return 1;

@@ -38,7 +38,7 @@ Status Session::UpdateBatch(uint32_t layer, size_t count, const float* q,
   if (k == nullptr || v == nullptr) return Status::InvalidArgument("null k/v");
   local_.AppendTokens(layer, count, k, v);
 
-  if (options_.record_queries && q != nullptr) {
+  if (q != nullptr) {
     if (recorded_ == nullptr) recorded_ = std::make_unique<QuerySamples>(config_);
     const size_t stride = static_cast<size_t>(config_.num_q_heads) * config_.head_dim;
     for (size_t t = 0; t < count; ++t) {
@@ -257,15 +257,13 @@ Status Session::AttendHead(uint32_t layer, uint32_t q_head, const float* qh,
   // tokens (context window + local tail).
   float prior = -1e30f;
   WallTimer search_timer;
-  if (options_.use_window_dipr_hint) {
-    for (uint32_t id : ctx_window_ids) {
-      prior = std::max(prior, Dot(qh, ctx_keys.Vec(id), d));
-    }
-    for (uint32_t i = 0; i < n_local; ++i) {
-      prior = std::max(prior, Dot(qh, loc_keys.Vec(i), d));
-    }
-    stats->search.dist_comps += ctx_window_ids.size() + n_local;
+  for (uint32_t id : ctx_window_ids) {
+    prior = std::max(prior, Dot(qh, ctx_keys.Vec(id), d));
   }
+  for (uint32_t i = 0; i < n_local; ++i) {
+    prior = std::max(prior, Dot(qh, loc_keys.Vec(i), d));
+  }
+  stats->search.dist_comps += ctx_window_ids.size() + n_local;
 
   // --- Retrieval over the reused context. ---
   SearchResult retrieved;
@@ -285,7 +283,7 @@ Status Session::AttendHead(uint32_t layer, uint32_t q_head, const float* qh,
         const RoarGraph* fine = context_->FineIndex(layer, q_head);
         if (fine != nullptr && fine->built()) {
           DiprsHints hints;
-          if (options_.use_window_dipr_hint) hints.prior_best_ip = prior;
+          hints.prior_best_ip = prior;
           if (plan.query == QueryClass::kDipr) {
             retrieved = filter.enabled()
                             ? DiprsSearchFiltered(fine->graph(), fine->scoring(),
@@ -349,18 +347,9 @@ Status Session::AttendHead(uint32_t layer, uint32_t q_head, const float* qh,
   stats->modeled_gpu_seconds +=
       device_->cost_model().GpuAttentionSeconds(4.0 * static_cast<double>(gpu_tokens) * d);
 
-  if (options_.data_centric) {
-    // Only the (max, sum, acc) triple crosses PCIe: d + 2 floats.
-    stats->modeled_gpu_seconds +=
-        device_->cost_model().TransferSeconds((d + 2) * sizeof(float));
-  } else {
-    // Gather-then-compute ablation: ship retrieved K+V to the device first.
-    const uint64_t gather_bytes = static_cast<uint64_t>(cpu_ids.size()) * 2 * d *
-                                  config_.bytes_per_scalar;
-    stats->modeled_gpu_seconds += device_->cost_model().TransferSeconds(gather_bytes);
-    stats->modeled_gpu_seconds += device_->cost_model().GpuAttentionSeconds(
-        4.0 * static_cast<double>(cpu_ids.size()) * d);
-  }
+  // Data-centric: only the (max, sum, acc) triple crosses PCIe, d + 2 floats.
+  stats->modeled_gpu_seconds +=
+      device_->cost_model().TransferSeconds((d + 2) * sizeof(float));
 
   state.Merge(gpu_state);
   state.Merge(cpu_state);

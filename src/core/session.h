@@ -26,14 +26,7 @@ struct SessionOptions {
   OptimizerOptions optimizer;
   /// Per-session device budget the optimizer plans against.
   uint64_t gpu_budget_bytes = 0;
-  /// Seed DIPRS pruning with the max window inner product (§7.1).
-  bool use_window_dipr_hint = true;
-  /// Data-centric attention (§7.2): compute partial attention where KV lives
-  /// and merge. When false, models gather-then-compute (retrieved KV is
-  /// charged as a PCIe transfer before a GPU kernel) — the ablation baseline.
-  bool data_centric = true;
-  /// Record prefill queries so DB.Store() can train RoarGraph.
-  bool record_queries = true;
+  /// Prefill queries recorded (per layer) so DB.Store() can train RoarGraph.
   size_t max_recorded_tokens = 8192;
 };
 

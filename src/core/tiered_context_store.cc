@@ -11,6 +11,10 @@ namespace {
 constexpr char kManifestSuffix[] = "_manifest";
 constexpr size_t kManifestSuffixLen = sizeof(kManifestSuffix) - 1;
 
+/// VFS namespace of a parked (suspended-request) KV. Not "ctx<digits>", so
+/// WarmStart's ParseSpillName never registers one as a stored context.
+std::string ParkedName(uint64_t key) { return "parked" + std::to_string(key); }
+
 /// Parses "ctx<digits>" back to the context id; 0 on anything else.
 uint64_t ParseSpillName(const std::string& prefix) {
   if (prefix.size() <= 3 || prefix.compare(0, 3, "ctx") != 0) return 0;
@@ -319,6 +323,76 @@ Status TieredContextStore::WarmStart() {
   return first;
 }
 
+bool TieredContextStore::HostOverBudget(uint64_t incoming_bytes) const {
+  return options_.host_budget_bytes > 0 &&
+         env_->host_memory().current() + incoming_bytes > options_.host_budget_bytes;
+}
+
+Result<uint64_t> TieredContextStore::ParkKv(KvCache* kv) {
+  uint64_t key = 1;  // The lowest free key: retired keys' files get reused.
+  {
+    std::lock_guard<std::mutex> lk(meta_mu_);
+    while (parked_.count(key) > 0) ++key;
+    parked_[key] = Parked{};  // Claimed; sized once the write lands.
+  }
+  // Wrap the KV in a throwaway Context so the serializer's persist path
+  // (payload files first, manifest as the commit record) does the formatting.
+  // The tokens are positional placeholders; nothing reads them back.
+  const size_t n = kv->NumTokens();
+  Context shell(key, std::vector<int32_t>(n, 0),
+                std::make_unique<KvCache>(std::move(*kv)));
+  const uint64_t generation = generation_.fetch_add(1);
+  const Status persisted = [&] {
+    std::lock_guard<std::mutex> io(IoMutexFor(key));
+    return serializer_.Persist(shell, ParkedName(key), generation);
+  }();
+  if (!persisted.ok()) {
+    *kv = std::move(shell.mutable_kv());  // The caller keeps its KV.
+    DropParkedKv(key);
+    return persisted;
+  }
+  *kv = KvCache(model_);
+  const uint64_t disk_bytes = shell.kv().DeployedBytes();
+  {
+    std::lock_guard<std::mutex> lk(meta_mu_);
+    parked_[key] = Parked{disk_bytes, generation};
+    disk_reservation_.ResizeTo(disk_reservation_.bytes() + disk_bytes);
+  }
+  ++parked_spills_;
+  return key;
+}
+
+Result<KvCache> TieredContextStore::UnparkKv(uint64_t key) {
+  uint64_t generation = 0;
+  {
+    std::lock_guard<std::mutex> lk(meta_mu_);
+    const auto it = parked_.find(key);
+    if (it == parked_.end()) return Status::NotFound("no parked KV under this key");
+    generation = it->second.generation;
+  }
+  Result<std::unique_ptr<Context>> loaded = [&]() -> Result<std::unique_ptr<Context>> {
+    std::lock_guard<std::mutex> io(IoMutexFor(key));
+    ALAYA_ASSIGN_OR_RETURN(ContextManifest man,
+                           serializer_.LoadManifest(ParkedName(key), model_));
+    if (man.generation != generation) {
+      return Status::Corruption("parked KV manifest has a foreign generation");
+    }
+    return serializer_.Load(ParkedName(key), key, model_, graph_);
+  }();
+  ALAYA_RETURN_IF_ERROR(loaded.status());
+  DropParkedKv(key);
+  ++parked_restores_;
+  return std::move(loaded.value()->mutable_kv());
+}
+
+void TieredContextStore::DropParkedKv(uint64_t key) {
+  std::lock_guard<std::mutex> lk(meta_mu_);
+  const auto it = parked_.find(key);
+  if (it == parked_.end()) return;
+  disk_reservation_.ResizeTo(disk_reservation_.bytes() - it->second.disk_bytes);
+  parked_.erase(it);
+}
+
 TieredContextStore::Stats TieredContextStore::stats() const {
   Stats s;
   s.spills = spills_.load();
@@ -329,6 +403,8 @@ TieredContextStore::Stats TieredContextStore::stats() const {
   s.warm_start_skipped = warm_start_skipped_.load();
   s.page_in_failures = page_in_failures_.load();
   s.eviction_stalls = eviction_stalls_.load();
+  s.parked_spills = parked_spills_.load();
+  s.parked_restores = parked_restores_.load();
   s.host_budget_bytes = options_.host_budget_bytes;
   s.resident_kv_bytes = store_->TotalKvBytes();
   s.resident_contexts = store_->resident();

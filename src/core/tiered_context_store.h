@@ -12,6 +12,11 @@
 // WarmStart() enumerates the manifest namespace and re-registers every
 // persisted context as a spilled placeholder, so a fresh process serves
 // stored prefixes immediately and pays the KV load only on first use.
+//
+// The same host budget covers preempted requests: a suspension whose parked
+// KV would push host usage past it parks the KV here (ParkKv) instead of in
+// host DRAM. Parked entries are never published or prefix-matched; they live
+// under DB-unique "parked<key>" names that WarmStart never registers.
 #pragma once
 
 #include <array>
@@ -73,6 +78,8 @@ class TieredContextStore {
     uint64_t warm_start_skipped = 0; ///< Torn/corrupt manifests skipped at boot.
     uint64_t page_in_failures = 0;
     uint64_t eviction_stalls = 0;  ///< Budget exceeded but every context pinned.
+    uint64_t parked_spills = 0;    ///< Suspended KVs parked on disk (ParkKv).
+    uint64_t parked_restores = 0;  ///< Parked KVs loaded back (UnparkKv).
     uint64_t host_budget_bytes = 0;
     uint64_t resident_kv_bytes = 0;
     size_t resident_contexts = 0;
@@ -133,6 +140,25 @@ class TieredContextStore {
   /// is created). Duplicate requests for an id already resident or already
   /// loading are dropped.
   void PrefetchAsync(uint64_t id);
+
+  /// True when `incoming_bytes` more in host DRAM would push host usage past
+  /// host_budget_bytes (never when the budget is 0).
+  bool HostOverBudget(uint64_t incoming_bytes) const;
+
+  /// Parks a suspended request's KV on disk and returns its DB-unique key
+  /// (never 0). `kv` is left empty on success and untouched on failure. The
+  /// parked bytes hold a disk-tier reservation until UnparkKv or DropParkedKv.
+  Result<uint64_t> ParkKv(KvCache* kv);
+
+  /// Loads a parked KV back (bit-identical: the serializer round-trip is
+  /// exact) and retires the key. A manifest whose generation stamp is not the
+  /// one ParkKv wrote is Corruption.
+  Result<KvCache> UnparkKv(uint64_t key);
+
+  /// Retires a parked key without loading it (the request ended while
+  /// suspended): returns its disk reservation and frees the key (and so its
+  /// file names) for reuse. Unknown keys are ignored.
+  void DropParkedKv(uint64_t key);
 
   Stats stats() const;
   const Status& warm_start_status() const { return warm_start_status_; }
@@ -196,7 +222,16 @@ class TieredContextStore {
   std::set<uint64_t> page_ins_in_flight_;
   size_t pending_async_ = 0;  ///< Prefetch jobs queued or running on pool_.
   uint64_t tick_ = 1;  ///< Logical recency clock (bumped per touch).
-  MemoryReservation disk_reservation_;  ///< Disk-tier bytes of persisted contexts.
+  /// Disk-tier bytes of persisted contexts and parked KVs.
+  MemoryReservation disk_reservation_;
+  /// Parked KVs by key (guarded by meta_mu_): disk bytes and the generation
+  /// stamp their manifest carries. ParkKv takes the lowest free key, so the
+  /// parked file set stays bounded by the peak number parked at once.
+  struct Parked {
+    uint64_t disk_bytes = 0;
+    uint64_t generation = 0;
+  };
+  std::map<uint64_t, Parked> parked_;
   /// Next manifest generation stamp; WarmStart re-seeds it past the highest
   /// generation found on disk so re-persists after restart stay monotone.
   std::atomic<uint64_t> generation_{1};
@@ -209,6 +244,8 @@ class TieredContextStore {
   std::atomic<uint64_t> warm_start_skipped_{0};
   std::atomic<uint64_t> page_in_failures_{0};
   std::atomic<uint64_t> eviction_stalls_{0};
+  std::atomic<uint64_t> parked_spills_{0};
+  std::atomic<uint64_t> parked_restores_{0};
 };
 
 }  // namespace alaya

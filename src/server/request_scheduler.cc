@@ -402,7 +402,7 @@ std::vector<RequestScheduler::Admitted> RequestScheduler::Admit(
       }
       // Blocked pick: optionally advise preemption, then stop — no bypass
       // past the policy's choice (admission order stays deterministic).
-      if (preempt_victims != nullptr && options_.preemption) {
+      if (preempt_victims != nullptr) {
         AdviseVictimsLocked(cand, preempt_victims);
       }
       break;

@@ -137,8 +137,8 @@ struct RequestSchedulerOptions {
   /// instead of dragging every co-resident session past its TPOT.
   double tpot_slo_seconds = 0;
   /// Simulated devices the scheduler places across (clamped to >= 1). The
-  /// serving engine mirrors its `devices` option here and grows the
-  /// environment's DeviceSet to match.
+  /// serving engine reads this as its fleet size and grows the environment's
+  /// DeviceSet to match.
   size_t devices = 1;
   /// Device selection strategy (nullptr -> BestFitPlacement: best-fit by free
   /// KV bytes with an affinity win for the device already holding the
@@ -188,10 +188,6 @@ struct RequestSchedulerOptions {
   /// <= 0 are treated as 1.0). A weight-2 tenant earns deficit credit twice
   /// as fast as a weight-1 tenant contending in the same priority class.
   std::map<uint64_t, double> tenant_weights;
-  /// Allow Admit() to advise preempting running lower-priority sessions when
-  /// a higher-priority request cannot admit (see Admit's preempt_victims).
-  /// Safe to leave on: equal-priority traffic never preempts.
-  bool preemption = true;
   /// Context parallelism: maximum devices one session may gang across
   /// (clamped to [1, devices]). Above 1, the placement policy is wrapped in
   /// GangPlacement (a request that fits one device still places solo),
@@ -310,8 +306,8 @@ class RequestScheduler {
   /// deficit grant, and the policy re-picks.
   ///
   /// Preemption: when the picked request is blocked (all slots taken or no
-  /// device fits) and `preempt_victims` is non-null (and options.preemption
-  /// is set), the policy ranks running lower-priority victims and the
+  /// device fits) and `preempt_victims` is non-null, the policy ranks
+  /// running lower-priority victims (equal priority never preempts) and the
   /// shortest prefix of that ranking whose suspension would let the pick
   /// place is appended to `*preempt_victims`. Admission then stops — the
   /// caller suspends the victims (Release + Requeue) and calls Admit again;

@@ -4,7 +4,6 @@
 #include <span>
 
 #include "src/common/rng.h"
-#include "src/core/context_serializer.h"
 #include "src/device/gang.h"
 #include "src/query/batched_diprs.h"
 
@@ -12,26 +11,10 @@ namespace alaya {
 
 namespace {
 
-/// VFS namespace for a suspended request's spilled KV. Distinct from the tier
-/// store's "ctx<id>" context prefix, so warm start never mistakes a parked
-/// request fragment for a stored context (ParseSpillName skips it).
-std::string SuspendSpillPrefix(uint64_t request_id) {
-  return "suspend" + std::to_string(request_id);
-}
-
-/// Normalizes engine options: clamps the fleet size, mirrors it into the
-/// scheduler, and defaults the scheduler's probe to the DB's context store —
-/// admission then projects prefill work from what is actually stored, and
-/// placement sees which device holds the matched context (affinity).
+/// Defaults the scheduler's probe to the DB's context store: admission then
+/// projects prefill work from what is actually stored, and placement sees
+/// which device holds the matched context (affinity).
 ServingEngineOptions WithDefaults(AlayaDB* db, ServingEngineOptions o) {
-  o.devices = std::max<size_t>(1, o.devices);
-  o.scheduler.devices = o.devices;
-  // Gang size: the engine-level knob and the scheduler-level knob are the
-  // same control; honor whichever was set (larger wins) and keep both in
-  // sync so AdmitInto's DeviceGang construction matches the placement.
-  o.max_gang_size = std::clamp<size_t>(
-      std::max(o.max_gang_size, o.scheduler.max_gang_size), 1, o.devices);
-  o.scheduler.max_gang_size = o.max_gang_size;
   if (o.scheduler.placement_probe == nullptr) {
     // The Submit fast path: matched length + affinity device from one walk.
     // Hitting a spilled context here is the prefetch hook: the page-in runs
@@ -84,8 +67,9 @@ ServingEngine::ServingEngine(AlayaDB* db, const ServingEngineOptions& options)
   // The fleet must exist before any placement decision can bind a session to
   // it. Grow-only and pointer-stable, so sessions of other engines sharing
   // this environment are unaffected.
-  db_->env().devices().EnsureAtLeast(options_.devices);
-  device_stats_.resize(options_.devices);
+  const size_t devices = scheduler_.options().devices;  // Clamped to >= 1.
+  db_->env().devices().EnsureAtLeast(devices);
+  device_stats_.resize(devices);
   for (size_t d = 0; d < device_stats_.size(); ++d) {
     device_stats_[d].device = static_cast<int>(d);
   }
@@ -282,68 +266,17 @@ void ServingEngine::FinalizeSuspended(uint64_t id, Status status) {
   std::unique_ptr<ActiveSession> a = std::move(it->second);
   suspended_.erase(it);
   // The parked KV dies with the request; no scheduler Release — a suspended
-  // request holds no reservation (its slot was freed at suspension). A
-  // spilled KV's file stays behind harmlessly: the VFS has no remove, the
-  // "suspend" prefix is invisible to warm start, and a future re-spill of the
-  // same id truncates it.
-  a->suspended_kv.reset();
-  a->host_kv_reservation.Release();
-  a->disk_kv_reservation.Release();
+  // request holds no reservation (its slot was freed at suspension).
+  FreeParkedKv(a.get());
   a->result.status = std::move(status);
   FinalizeResult(a->id, std::move(a->result));
 }
 
-Status ServingEngine::SpillSuspendedKv(ActiveSession* a) {
-  TieredContextStore* tiers = db_->tiers();
-  if (tiers == nullptr || !a->suspended_kv.has_value()) {
-    return Status::FailedPrecondition("no tier store to spill suspended KV into");
-  }
-  Session::SuspendedState& state = *a->suspended_kv;
-  const uint64_t kv_bytes = state.kv_bytes;
-  // Wrap the parked KV in a throwaway Context so the serializer's persist
-  // path (payload files first, manifest as the commit record) does the
-  // formatting. The tokens are positional placeholders — resume never reads
-  // them; the engine-side prefill_pos/step counters are the real state.
-  const size_t n_local = state.base.local_kv.NumTokens();
-  auto kv = std::make_unique<KvCache>(std::move(state.base.local_kv));
-  Context shell(a->id, std::vector<int32_t>(n_local, 0), std::move(kv));
-  ContextSerializer serializer(&tiers->vfs());
-  const Status persisted = serializer.Persist(shell, SuspendSpillPrefix(a->id));
-  if (!persisted.ok()) {
-    // The KV must survive a failed spill: move it back and let the caller
-    // fall back to host-resident parking.
-    state.base.local_kv = std::move(shell.mutable_kv());
-    return persisted;
-  }
-  // The parked bytes now live on disk; the in-memory cache is left empty
-  // (geometry only) and the host never holds them while the request waits.
-  state.base.local_kv = KvCache(db_->options().model);
-  a->disk_kv_reservation =
-      MemoryReservation(&db_->env().disk_usage(), kv_bytes);
-  a->suspended_on_disk = true;
-  std::lock_guard<std::mutex> lk(mu_);
-  ++snapshot_.suspend_spills;
-  return Status::Ok();
-}
-
-Status ServingEngine::RestoreSuspendedKv(ActiveSession* a) {
-  TieredContextStore* tiers = db_->tiers();
-  if (tiers == nullptr || !a->suspended_kv.has_value()) {
-    return Status::FailedPrecondition("no spilled suspended KV to restore");
-  }
-  ContextSerializer serializer(&tiers->vfs());
-  Result<std::unique_ptr<Context>> loaded =
-      serializer.Load(SuspendSpillPrefix(a->id), a->id, db_->options().model,
-                      db_->options().index_build.roar);
-  ALAYA_RETURN_IF_ERROR(loaded.status());
-  // Serializer round-trips are exact, so the restored cache is bit-identical
-  // to the one DetachForSuspend parked — resume stays recompute-free.
-  a->suspended_kv->base.local_kv = std::move(loaded.value()->mutable_kv());
-  a->suspended_on_disk = false;
-  a->disk_kv_reservation.Release();
-  std::lock_guard<std::mutex> lk(mu_);
-  ++snapshot_.suspend_restores;
-  return Status::Ok();
+void ServingEngine::FreeParkedKv(ActiveSession* a) {
+  if (a->parked_key != 0) db_->tiers()->DropParkedKv(a->parked_key);
+  a->parked_key = 0;
+  a->suspended_kv.reset();
+  a->host_kv_reservation.Release();
 }
 
 bool ServingEngine::SuspendVictim(uint64_t id) {
@@ -363,19 +296,17 @@ bool ServingEngine::SuspendVictim(uint64_t id) {
   const uint64_t kv_bytes = state.kv_bytes;
   // The offload is a modeled device→host transfer on the victim's device (it
   // executes the copy-out), and the parked bytes live in host DRAM until
-  // resume — unless host pressure spills them onward to disk below.
+  // resume — unless they would push host usage past the tier budget, in
+  // which case the tier store parks them on disk. A failed park falls back to
+  // host DRAM: spilling is an optimization, never a correctness gate.
   Device& dev = db_->env().device(static_cast<size_t>(a->device));
   dev.clock().Advance(dev.cost_model().TransferSeconds(kv_bytes));
   a->suspended_kv.emplace(std::move(state));
-  // Host-pressure spill: when parking these bytes would push host usage past
-  // the budget, persist them to the tier store's disk instead. Failure falls
-  // back to host parking — the spill is an optimization, never a gate.
-  const bool spill = options_.suspend_spill_host_budget_bytes > 0 &&
-                     db_->tiers() != nullptr &&
-                     db_->env().host_memory().current() + kv_bytes >
-                         options_.suspend_spill_host_budget_bytes &&
-                     SpillSuspendedKv(a).ok();
-  if (!spill) {
+  TieredContextStore* tiers = db_->tiers();
+  if (tiers != nullptr && tiers->HostOverBudget(kv_bytes)) {
+    a->parked_key = tiers->ParkKv(&a->suspended_kv->base.local_kv).ValueOr(0);
+  }
+  if (a->parked_key == 0) {
     a->host_kv_reservation =
         MemoryReservation(&db_->env().host_memory(), kv_bytes);
   }
@@ -458,10 +389,15 @@ void ServingEngine::ResumeSuspended(RequestScheduler::Admitted&& adm,
         rebuilt = resumed.session->BindGang(
             std::make_shared<const DeviceGang>(&db_->env(), adm.gang));
       }
-      if (rebuilt.ok() && a->suspended_on_disk) {
-        // The parked KV was spilled under host pressure; demand-page it back
-        // before the reattach (bit-identical serializer round-trip).
-        rebuilt = RestoreSuspendedKv(a);
+      if (rebuilt.ok() && a->parked_key != 0) {
+        // The KV was parked on disk under host pressure; page it back before
+        // the reattach (bit-identical serializer round-trip).
+        Result<KvCache> kv = db_->tiers()->UnparkKv(a->parked_key);
+        rebuilt = kv.status();
+        if (kv.ok()) {
+          a->parked_key = 0;  // Retired: the key may already be reused.
+          a->suspended_kv->base.local_kv = std::move(kv.value());
+        }
       }
       if (rebuilt.ok()) {
         rebuilt = resumed.session->AttachFromSuspend(std::move(*a->suspended_kv));
@@ -471,9 +407,7 @@ void ServingEngine::ResumeSuspended(RequestScheduler::Admitted&& adm,
     }
   }
   if (!terminal.ok() || !rebuilt.ok()) {
-    a->suspended_kv.reset();
-    a->host_kv_reservation.Release();
-    a->disk_kv_reservation.Release();
+    FreeParkedKv(a);
     a->result.status = terminal.ok() ? rebuilt : terminal;
     FinalizeResult(a->id, std::move(a->result));
     scheduler_.Release(a->id);
@@ -948,8 +882,7 @@ Status ServingEngine::StepActiveSessions(const WallTimer& step_timer) {
     // next step), so the per-layer batch below stays over a fixed set. The
     // last layer skips the poll: a chunk launched there could not overlap
     // anything and would only delay the join.
-    if (options_.midstep_admission && layer + 1 < model.num_layers &&
-        scheduler_.queued() > 0) {
+    if (layer + 1 < model.num_layers && scheduler_.queued() > 0) {
       MidStepAdmit(&wave, &budget_left, &chunked);
     }
   }
@@ -959,37 +892,35 @@ Status ServingEngine::StepActiveSessions(const WallTimer& step_timer) {
   // the wave-tail admission polls below instead of sitting occupied until the
   // step boundary. Safe here: the layer loop is done and `decoding` is not
   // read again, and erasing from active_ only moves unique_ptrs, never the
-  // sessions `prefilling`/`chunked` point at. Gated with midstep_admission so
-  // the boundary-only baseline keeps its exact retirement timing.
-  if (options_.midstep_admission) {
-    // Retirement frees the retiring sessions' KV before the end-of-step
-    // residency sample; take the step's high-water sample first so
-    // peak_gpu_bytes still reflects the footprint this step decoded at.
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      SampleResidencyPeaksLocked();
+  // sessions `prefilling`/`chunked` point at.
+  //
+  // Retirement frees the retiring sessions' KV before the end-of-step
+  // residency sample; take the step's high-water sample first so
+  // peak_gpu_bytes still reflects the footprint this step decoded at.
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    SampleResidencyPeaksLocked();
+  }
+  size_t retired = 0;
+  auto it = active_.begin();
+  while (it != active_.end()) {
+    ActiveSession* a = it->get();
+    if (!a->failed && a->state == RequestState::kDecoding &&
+        a->step >= a->request.max_new_tokens) {
+      // The driver's post-step attribution loop no longer sees this session;
+      // attribute its partial-step wall time before finalizing.
+      a->result.decode_wall_seconds += step_timer.ElapsedSeconds();
+      a->state = RequestState::kRetiring;
+      FinishSession(a);
+      it = active_.erase(it);
+      ++retired;
+    } else {
+      ++it;
     }
-    size_t retired = 0;
-    auto it = active_.begin();
-    while (it != active_.end()) {
-      ActiveSession* a = it->get();
-      if (!a->failed && a->state == RequestState::kDecoding &&
-          a->step >= a->request.max_new_tokens) {
-        // The driver's post-step attribution loop no longer sees this
-        // session; attribute its partial-step wall time before finalizing.
-        a->result.decode_wall_seconds += step_timer.ElapsedSeconds();
-        a->state = RequestState::kRetiring;
-        FinishSession(a);
-        it = active_.erase(it);
-        ++retired;
-      } else {
-        ++it;
-      }
-    }
-    if (retired > 0) {
-      std::lock_guard<std::mutex> lk(mu_);
-      snapshot_.midstep_retirements += retired;
-    }
+  }
+  if (retired > 0) {
+    std::lock_guard<std::mutex> lk(mu_);
+    snapshot_.midstep_retirements += retired;
   }
 
   // Poll admissions while waiting out the wave — on every step, not just
@@ -998,11 +929,9 @@ Status ServingEngine::StepActiveSessions(const WallTimer& step_timer) {
   // the last between-layer poll into the wave-join tail, so an arrival during
   // the final decode layer or a long chunk still enters mid-step and its
   // chunk joins the same wave.
-  if (options_.midstep_admission) {
-    while (!wave.WaitFor(std::chrono::microseconds(200))) {
-      if (scheduler_.queued() > 0) {
-        MidStepAdmit(&wave, &budget_left, &chunked);
-      }
+  while (!wave.WaitFor(std::chrono::microseconds(200))) {
+    if (scheduler_.queued() > 0) {
+      MidStepAdmit(&wave, &budget_left, &chunked);
     }
   }
 
@@ -1073,7 +1002,7 @@ void ServingEngine::SampleResidencyPeaksLocked() {
 }
 
 void ServingEngine::MaybeRebalance() {
-  if (options_.rebalance_skew_factor <= 0 || options_.devices < 2) return;
+  if (options_.rebalance_skew_factor <= 0 || device_stats_.size() < 2) return;
   const std::vector<DeviceLoad> loads = scheduler_.DeviceLoads();
   size_t hot = 0, cold = 0;
   for (size_t i = 1; i < loads.size(); ++i) {
@@ -1130,15 +1059,12 @@ void ServingEngine::FinishSession(ActiveSession* active) {
                                ? active->request.token_at(s)
                                : SyntheticStoredTokenId(active->id, s));
     }
-    // Background (default): hand the session's KV, ids and recorded queries
-    // to a materialization job and retire immediately — the index build never
+    // Hand the session's KV, ids and recorded queries to a background
+    // materialization job and retire immediately — the index build never
     // blocks the step loop. The reserved context id is reported right away;
     // it becomes matchable once the job publishes (observe via Drain()).
-    Result<uint64_t> stored =
-        options_.background_store
-            ? db_->StoreAsync(active->session.get(), std::move(new_tokens),
-                              active->context_ref)
-            : db_->Store(active->session.get(), new_tokens);
+    Result<uint64_t> stored = db_->StoreAsync(
+        active->session.get(), std::move(new_tokens), active->context_ref);
     if (stored.ok()) {
       active->result.stored_context_id = stored.value();
     } else {
@@ -1362,6 +1288,8 @@ ServingSnapshot ServingEngine::snapshot() const {
   out.materializations_failed = mat.failed;
   if (const TieredContextStore* tiers = db_->tiers()) {
     const TieredContextStore::Stats ts = tiers->stats();
+    out.suspend_spills = ts.parked_spills;
+    out.suspend_restores = ts.parked_restores;
     out.tier_spills = ts.spills;
     out.tier_page_ins = ts.page_ins;
     out.tier_prefetches = ts.prefetches;

@@ -47,7 +47,7 @@
 //      draws from the step's unspent budget and joins the wave already in
 //      flight instead of waiting for the batch to drain;
 //   5. finished sessions optionally store their context (late
-//      materialization; DB.store_async by default, off the step loop) and
+//      materialization through DB.store_async, off the step loop) and
 //      release their admission reservation, letting the scheduler pull the
 //      next queued request at the next boundary.
 //
@@ -56,7 +56,8 @@
 // reservation released). Requests with a fully-covered prompt skip straight
 // to Decoding; cancellation/deadline/errors jump to Retiring from any state.
 // Under preemption a running Prefilling/Decoding session may additionally be
-// Suspended (KV detached and parked host-side, slot yielded to a
+// Suspended (KV detached and parked host-side — or on disk through the tier
+// store when host DRAM is over the tier budget — slot yielded to a
 // higher-priority request) and later Resuming (KV reattached, the phase it
 // was suspended in continues from the exact position — zero recompute, so the
 // resumed decode is bit-identical to an uninterrupted one).
@@ -67,7 +68,7 @@
 // scheduling, not math. Cancellation changes *which* steps run, never their
 // values.
 //
-// Sharded serving (ServingEngineOptions::devices > 1): admission places each
+// Sharded serving (scheduler.devices > 1): admission places each
 // request on one device of the environment's DeviceSet via the scheduler's
 // PlacementPolicy (best-fit by free KV bytes with a warm-context affinity
 // bonus; per-device memory budgets and per-device TPOT accounting, so one hot
@@ -100,21 +101,14 @@
 namespace alaya {
 
 struct ServingEngineOptions {
+  /// Admission, step budget, preemption and placement. `scheduler.devices`
+  /// is the fleet size: the engine grows the DB environment's DeviceSet to
+  /// it, binds each admitted session to its placed device, and reports
+  /// per-device counters in the snapshot. `scheduler.max_gang_size` > 1 lets
+  /// one request shard its KV window across a device gang.
   RequestSchedulerOptions scheduler;
   /// Worker pool for cross-session batches (nullptr -> ThreadPool::Global()).
   ThreadPool* pool = nullptr;
-  /// Retire store_on_finish sessions through DB.store_async (non-blocking;
-  /// materialization overlaps subsequent steps). When false, retire blocks on
-  /// the synchronous DB.store — the pre-background-store behavior, kept for
-  /// the bit-identical equivalence tests and as an ablation knob.
-  bool background_store = true;
-  /// Simulated devices to serve across (clamped to >= 1). The engine grows
-  /// the DB environment's DeviceSet to this size, mirrors it into the
-  /// scheduler (per-device budgets + TPOT, placement policy), binds each
-  /// admitted session to its placed device, and reports per-device counters
-  /// in the snapshot. With 1 (the default) the whole system is bit-identical
-  /// to the pre-sharding engine: one tracker, one clock, device 0 everywhere.
-  size_t devices = 1;
   /// Bounded result retention: keep at most this many terminal results in the
   /// id-keyed result() map, evicting the oldest (lowest id) beyond it. Results
   /// are owned by their tickets, so RequestHandle::Wait/TryWait pointers stay
@@ -122,14 +116,6 @@ struct ServingEngineOptions {
   /// id-based result() lookup forgets. 0 = unlimited (the old always-grow
   /// behavior; an always-on engine then leaks one entry per request served).
   size_t result_retention = 4096;
-  /// Context parallelism: maximum devices one request may gang across
-  /// (clamped to [1, devices]; mirrored into scheduler.max_gang_size, taking
-  /// the larger when both are set). Above 1, a prompt whose KV footprint
-  /// exceeds one device's budget shards its resident window across the
-  /// smallest sufficient device gang (ring-merged partial softmax,
-  /// bit-identical to the single-device math) instead of rejecting with
-  /// kNeverFits.
-  size_t max_gang_size = 1;
   /// Cross-device KV rebalance probe: when > 0, the driver checks
   /// reserved-byte skew at each step boundary and migrates ONE warm, unpinned
   /// context off the hottest device once its reserved bytes exceed
@@ -138,21 +124,6 @@ struct ServingEngineOptions {
   /// (AlayaDB::MigrateShard); future prefix hits then place toward the cold
   /// device via the affinity probe. 0 disables the probe.
   double rebalance_skew_factor = 0;
-  /// Host-pressure spill for suspended KV: when > 0 and the DB has tiering
-  /// enabled, a suspension that would push host usage past this budget
-  /// persists the parked KV through the tier store's file system instead of
-  /// holding host DRAM; resume demand-pages it back bit-identically (the
-  /// serializer round-trip is exact). 0 keeps every parked KV host-resident
-  /// (the historical behavior).
-  uint64_t suspend_spill_host_budget_bytes = 0;
-  /// Continuous batching: admit newly queued requests *inside* a running step
-  /// — between decode layers and while a prefill-only step's wave is in
-  /// flight — launching their first prefill chunk into the current step
-  /// instead of waiting for the next boundary. The budget split itself
-  /// (scheduler.step_token_budget / prefill_chunk_tokens / min_prefill_tokens)
-  /// applies either way. False restores boundary-only admission — the
-  /// phase-serialized baseline the TTFT bench compares against.
-  bool midstep_admission = true;
 };
 
 /// Synthetic id for the `step`-th decoded token of request `request_id`, used
@@ -171,9 +142,9 @@ struct RequestResult {
   Status status;  ///< Ok, a per-request error, kCancelled or kDeadlineExceeded.
   size_t reused_prefix = 0;
   uint64_t reused_context_id = 0;  ///< 0 when no stored context matched.
-  /// store_on_finish: the stored context's id. Under background_store this is
-  /// a reservation ticket — the context becomes matchable once its
-  /// materialization publishes (Shutdown/Drain is the barrier); if the build
+  /// store_on_finish: the stored context's id, a reservation ticket — the
+  /// context becomes matchable once its background materialization
+  /// publishes (Shutdown/Drain is the barrier); if the build
   /// fails the id never publishes and db.materialization_errors() maps it to
   /// the reason. Results are immutable once terminal, so the failure is NOT
   /// written back here.
@@ -320,11 +291,11 @@ struct ServingSnapshot {
   size_t engine_steps = 0;       ///< Driver steps executed (lifetime).
   /// Requests admitted *inside* a running step (between decode layers or
   /// during a prefill-only wave) rather than at a step boundary — the
-  /// continuous-batching counter. Zero when midstep_admission is off.
+  /// continuous-batching counter.
   size_t midstep_admissions = 0;
   /// Sessions retired *inside* a running step — the moment their last token
   /// decoded, instead of at the step boundary — freeing their slot for the
-  /// same step's mid-step admission polls. Zero when midstep_admission is off.
+  /// same step's mid-step admission polls.
   size_t midstep_retirements = 0;
   /// Preemptive scheduling: running sessions suspended to yield their slot to
   /// a higher-priority request, and suspended sessions resumed (with zero
@@ -335,15 +306,17 @@ struct ServingSnapshot {
   /// Context parallelism: admissions (resumes included) that placed on a
   /// multi-device gang, the modeled ring-exchange bytes their sessions moved
   /// between members, and the rebalance probe's shard migrations (count and
-  /// modeled bytes) — see ServingEngineOptions::{max_gang_size,
-  /// rebalance_skew_factor}.
+  /// modeled bytes) — see RequestSchedulerOptions::max_gang_size and
+  /// ServingEngineOptions::rebalance_skew_factor.
   size_t gang_admissions = 0;
   uint64_t gang_ring_transfer_bytes = 0;
   size_t shard_migrations = 0;
   uint64_t shard_migrated_bytes = 0;
-  /// Suspended-KV tiering (suspend_spill_host_budget_bytes): parked KVs
-  /// spilled to disk under host pressure, and spilled KVs paged back in at
-  /// resume. restores can lag spills when a request retires while spilled.
+  /// Suspended-KV tiering: parked KVs the tier store spilled to disk because
+  /// host DRAM was over DbOptions::tier.host_budget_bytes, and spilled KVs
+  /// paged back in at resume (TieredContextStore::Stats::parked_*; DB-wide,
+  /// so engines sharing a DB report the same totals). restores can lag
+  /// spills when a request retires while spilled.
   size_t suspend_spills = 0;
   size_t suspend_restores = 0;
   double serve_wall_seconds = 0;   ///< Wall time the driver thread was live.
@@ -352,8 +325,8 @@ struct ServingSnapshot {
   uint64_t peak_gpu_bytes = 0;  ///< Max FLEET residency observed at step ends
                                 ///< (sampled during prefill and decode alike;
                                 ///< with one device, that device's peak).
-  /// Background materialization (store_on_finish under background_store):
-  /// jobs still queued/running, and lifetime completed/failed totals.
+  /// Background materialization (store_on_finish): jobs still
+  /// queued/running, and lifetime completed/failed totals.
   size_t materializations_pending = 0;
   size_t materializations_completed = 0;
   size_t materializations_failed = 0;
@@ -496,17 +469,15 @@ class ServingEngine {
     std::vector<AttentionCallStats> head_stats;  ///< One per q_head.
     /// Preemption parking: the detached KV + recorded queries while the
     /// request is kSuspended (engaged exactly then), and the host-memory
-    /// reservation covering the parked bytes. The decode position (step) and
+    /// reservation covering the parked bytes — or, when the tier store parked
+    /// the KV on disk, its parked key (suspended_kv's cache is then empty and
+    /// the host reservation unset). The decode position (step) and
     /// prefill_pos above are the rest of the suspended state — fill callbacks
     /// are pure functions of (step/token, layer), so those counters ARE the
     /// generator state and resume restarts from them bit-identically.
     std::optional<Session::SuspendedState> suspended_kv;
     MemoryReservation host_kv_reservation;
-    /// Satellite of the suspend path: the parked KV was persisted to the tier
-    /// store's disk under host pressure (suspended_kv's cache is then empty;
-    /// the bytes live behind disk_kv_reservation until resume restores them).
-    bool suspended_on_disk = false;
-    MemoryReservation disk_kv_reservation;
+    uint64_t parked_key = 0;  ///< TieredContextStore::ParkKv key; 0 = in host DRAM.
     bool failed = false;
 
     bool Terminal() const {
@@ -542,15 +513,8 @@ class ServingEngine {
   /// (cancel/deadline) finalizes instead. Appends to active_ and `newly`.
   void ResumeSuspended(RequestScheduler::Admitted&& adm,
                        std::vector<ActiveSession*>* newly);
-  /// Host-pressure spill (suspend_spill_host_budget_bytes): persists a
-  /// suspended request's parked KV through the tier store's serializer under
-  /// the "suspend<id>" prefix and swaps the host reservation for a disk one.
-  /// On failure the KV stays host-resident — spilling is an optimization,
-  /// never a correctness gate.
-  Status SpillSuspendedKv(ActiveSession* a);
-  /// Resume-side page-in: loads the spilled KV back into suspended_kv
-  /// (bit-identical serializer round-trip) and releases the disk reservation.
-  Status RestoreSuspendedKv(ActiveSession* a);
+  /// Frees a suspended request's parked KV, in host DRAM or on disk.
+  void FreeParkedKv(ActiveSession* a);
   /// Step-boundary rebalance probe (rebalance_skew_factor): migrates one
   /// warm, unpinned context off the hottest device when reserved-byte skew
   /// crosses the threshold.

@@ -2,8 +2,9 @@
 //
 // Locks in the three guarantees the materialization queue makes:
 //   1. equivalence — a store_on_finish run with background materialization
-//      produces outputs AND stored contexts bit-identical to the synchronous
-//      path (same code, different thread), observable after Drain();
+//      produces outputs AND stored contexts bit-identical to hand-driven
+//      sessions stored through the synchronous DB.Store (same code, different
+//      thread), observable after Drain();
 //   2. isolation — BestPrefixMatch racing a materialization can never observe
 //      a half-built context (pending ids are invisible until Publish);
 //   3. index sharing — storing over a fully reused prefix extends the base
@@ -35,11 +36,10 @@ struct BackgroundStoreFixture {
   /// the step loop even on single-core CI machines.
   ThreadPool pool{4};
 
-  ServingEngineOptions EngineOptions(size_t max_concurrent, bool background) {
+  ServingEngineOptions EngineOptions(size_t max_concurrent) {
     ServingEngineOptions o;
     o.scheduler.max_concurrent_sessions = max_concurrent;
     o.pool = &pool;
-    o.background_store = background;
     return o;
   }
 
@@ -134,22 +134,48 @@ TEST(BackgroundStoreTest, BackgroundMatchesSynchronousStoreBitIdentical) {
   constexpr size_t kSteps = 4;
 
   BackgroundStoreFixture bg_fx, sync_fx;
-  ServingEngine background(bg_fx.db.get(),
-                           bg_fx.EngineOptions(kRequests, /*background=*/true));
-  ServingEngine synchronous(sync_fx.db.get(),
-                            sync_fx.EngineOptions(kRequests, /*background=*/false));
-
-  std::vector<uint64_t> bg_ids, sync_ids;
+  ServingEngine background(bg_fx.db.get(), bg_fx.EngineOptions(kRequests));
+  std::vector<uint64_t> bg_ids;
   for (int i = 0; i < kRequests; ++i) {
     auto b = background.Submit(bg_fx.MakeRequest(11 + i, kSteps));
-    auto s = synchronous.Submit(sync_fx.MakeRequest(11 + i, kSteps));
     ASSERT_TRUE(b.ok());
-    ASSERT_TRUE(s.ok());
     bg_ids.push_back(b.value().id());
-    sync_ids.push_back(s.value().id());
   }
   ASSERT_TRUE(background.RunToCompletion().ok());
-  ASSERT_TRUE(synchronous.RunToCompletion().ok());
+
+  // Reference: the same requests driven by hand through Session and stored
+  // with the synchronous DB.Store. Every session is created before any store
+  // — as in the engine, where all three are admitted together — so each one
+  // reuses the imported context, not an earlier request's stored extension.
+  const ModelConfig& m = sync_fx.model;
+  const size_t qdim = static_cast<size_t>(m.num_q_heads) * m.head_dim;
+  const size_t kvdim = static_cast<size_t>(m.num_kv_heads) * m.head_dim;
+  std::vector<AlayaDB::SessionCreation> sessions;
+  for (int i = 0; i < kRequests; ++i) {
+    auto created = sync_fx.db->CreateSession(sync_fx.ContextTokens());
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    sessions.push_back(std::move(created.value()));
+  }
+  std::vector<std::vector<float>> sync_outputs(kRequests);
+  std::vector<uint64_t> sync_ids;
+  for (int i = 0; i < kRequests; ++i) {
+    const ServingRequest r = sync_fx.MakeRequest(11 + i, kSteps);
+    Session* session = sessions[i].session.get();
+    std::vector<float> q(qdim), k(kvdim), v(kvdim), out(qdim);
+    std::vector<int32_t> new_tokens;
+    for (size_t step = 0; step < kSteps; ++step) {
+      for (uint32_t layer = 0; layer < m.num_layers; ++layer) {
+        r.fill_step(step, layer, q.data(), k.data(), v.data());
+        ASSERT_TRUE(session->Update(layer, q.data(), k.data(), v.data()).ok());
+        ASSERT_TRUE(session->Attention(layer, q.data(), out.data()).ok());
+      }
+      sync_outputs[i].insert(sync_outputs[i].end(), out.begin(), out.end());
+      new_tokens.push_back(SyntheticStoredTokenId(bg_ids[i], step));
+    }
+    auto stored = sync_fx.db->Store(session, new_tokens);
+    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+    sync_ids.push_back(stored.value());
+  }
 
   // RunToCompletion drained: every materialization published.
   ASSERT_TRUE(bg_fx.db->WaitForMaterialization().ok());
@@ -162,20 +188,17 @@ TEST(BackgroundStoreTest, BackgroundMatchesSynchronousStoreBitIdentical) {
   EXPECT_EQ(bg_snap.materializations_pending, 0u);
   EXPECT_EQ(bg_snap.materializations_failed, 0u);
   // The synchronous path never touches the background queue.
-  EXPECT_EQ(synchronous.snapshot().materializations_completed, 0u);
+  EXPECT_EQ(sync_fx.db->materialization_stats().completed, 0u);
 
   for (int i = 0; i < kRequests; ++i) {
     const RequestResult* b = background.result(bg_ids[i]);
-    const RequestResult* s = synchronous.result(sync_ids[i]);
     ASSERT_NE(b, nullptr);
-    ASSERT_NE(s, nullptr);
     ASSERT_TRUE(b->status.ok()) << b->status.ToString();
-    ASSERT_TRUE(s->status.ok()) << s->status.ToString();
-    EXPECT_EQ(b->outputs, s->outputs) << "request " << i;
+    EXPECT_EQ(b->outputs, sync_outputs[i]) << "request " << i;
     ASSERT_NE(b->stored_context_id, 0u);
-    ASSERT_EQ(b->stored_context_id, s->stored_context_id);
+    ASSERT_EQ(b->stored_context_id, sync_ids[i]);
     const Context* bc = bg_fx.db->contexts().FindUnsafeForTest(b->stored_context_id);
-    const Context* sc = sync_fx.db->contexts().FindUnsafeForTest(s->stored_context_id);
+    const Context* sc = sync_fx.db->contexts().FindUnsafeForTest(sync_ids[i]);
     ASSERT_NE(bc, nullptr);
     ASSERT_NE(sc, nullptr);
     ExpectContextsIdentical(bg_fx.model, *bc, *sc);
@@ -185,7 +208,7 @@ TEST(BackgroundStoreTest, BackgroundMatchesSynchronousStoreBitIdentical) {
 TEST(BackgroundStoreTest, ExtendFromBaseSkipsPrefixRebuild) {
   constexpr size_t kSteps = 5;
   BackgroundStoreFixture fx;
-  ServingEngine engine(fx.db.get(), fx.EngineOptions(1, /*background=*/true));
+  ServingEngine engine(fx.db.get(), fx.EngineOptions(1));
   auto id = engine.Submit(fx.MakeRequest(21, kSteps));
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(engine.RunToCompletion().ok());
@@ -385,7 +408,7 @@ TEST(BackgroundStoreTest, PrefixMatchNeverObservesHalfBuiltContext) {
   constexpr int kRequests = 6;
   constexpr size_t kSteps = 3;
   BackgroundStoreFixture fx;
-  ServingEngine engine(fx.db.get(), fx.EngineOptions(3, /*background=*/true));
+  ServingEngine engine(fx.db.get(), fx.EngineOptions(3));
   for (int i = 0; i < kRequests; ++i) {
     ASSERT_TRUE(engine.Submit(fx.MakeRequest(31 + i, kSteps)).ok());
   }

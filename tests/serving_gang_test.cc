@@ -7,8 +7,9 @@
 // not 4), the kNeverFits gate relaxing to the largest permitted gang's
 // combined budget, >= 3x max servable context from gang 1 to gang 4,
 // cross-device KV migration racing retirement/re-homing, the driver's
-// skew-triggered rebalance probe, suspend-spill of parked KV to disk with
-// bit-identical resume, and a TSan-targeted multi-gang stress run.
+// skew-triggered rebalance probe, suspend-spill of parked KV to disk through
+// the tier store with bit-identical resume (also with two engines parking
+// into one DB), and a TSan-targeted multi-gang stress run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -51,12 +52,20 @@ struct GangFixture {
     }
   }
 
+  /// Host bytes the imported contexts of a `num_tenants` fixture hold. As a
+  /// tier budget it keeps them resident but leaves no room for a parked KV,
+  /// so every suspension parks its KV on disk through the tier store.
+  static uint64_t ImportedHostBytes(size_t num_tenants) {
+    GangFixture probe(num_tenants);
+    return probe.env.host_memory().current();
+  }
+
   ServingEngineOptions EngineOptions(size_t max_concurrent, size_t devices,
                                      size_t max_gang = 1) {
     ServingEngineOptions o;
     o.scheduler.max_concurrent_sessions = max_concurrent;
-    o.devices = devices;
-    o.max_gang_size = max_gang;
+    o.scheduler.devices = devices;
+    o.scheduler.max_gang_size = max_gang;
     o.pool = &pool;
     return o;
   }
@@ -347,13 +356,12 @@ TEST(ServingGangTest, SuspendSpillToDiskResumesBitIdentical) {
   ASSERT_NE(g, nullptr);
   ASSERT_TRUE(g->status.ok());
 
-  // Live engine, one slot, spill budget so small every suspension must park
-  // its KV on disk through the tier store rather than holding host DRAM.
-  GangFixture fx(/*num_tenants=*/1, /*tier_host_budget=*/1ull << 30);
+  // Live engine, one slot, and a tier host budget that holds the imported
+  // context but no parked KV: every suspension must park its KV on disk
+  // through the tier store rather than holding host DRAM.
+  GangFixture fx(/*num_tenants=*/1, GangFixture::ImportedHostBytes(1));
   ASSERT_NE(fx.db->tiers(), nullptr);
-  ServingEngineOptions opts = fx.EngineOptions(1, 1);
-  opts.suspend_spill_host_budget_bytes = 1;
-  ServingEngine engine(fx.db.get(), opts);
+  ServingEngine engine(fx.db.get(), fx.EngineOptions(1, 1));
   ASSERT_TRUE(engine.Start().ok());
 
   // Deterministic interleaving: the low's first decoded token parks the
@@ -403,6 +411,113 @@ TEST(ServingGangTest, SuspendSpillToDiskResumesBitIdentical) {
   EXPECT_GE(snap.preemptions, 1u);
   EXPECT_GE(snap.suspend_spills, 1u);
   EXPECT_EQ(snap.suspend_spills, snap.suspend_restores);
+  EXPECT_EQ(snap.tier_spills, 0u);  // Parked KVs are not stored contexts.
+}
+
+TEST(ServingGangTest, TwoEnginesParkingOnOneDbResumeTheirOwnKv) {
+  constexpr size_t kLowSteps = 24;
+  constexpr size_t kHighSteps = 2;
+  constexpr uint64_t kLowSeed[2] = {61, 62};
+
+  // Goldens: each low-priority decode alone on an idle engine, never
+  // preempted. Distinct seeds, so resuming the other engine's KV would show.
+  GangFixture golden_fx(/*num_tenants=*/1, /*tier_host_budget=*/1ull << 30);
+  std::vector<float> goldens[2];
+  for (size_t e = 0; e < 2; ++e) {
+    ServingEngine golden(golden_fx.db.get(), golden_fx.EngineOptions(1, 1));
+    const RequestResult* g =
+        RunOne(&golden, golden_fx.MakeRequest(0, kLowSeed[e], kLowSteps));
+    ASSERT_NE(g, nullptr);
+    ASSERT_TRUE(g->status.ok());
+    goldens[e] = g->outputs;
+  }
+
+  // Two one-slot engines over ONE DB whose tier budget leaves no room for a
+  // parked KV. Each engine numbers its requests from 1, so both low requests
+  // carry the same engine-local id; the tier store's parked keys must not.
+  GangFixture fx(/*num_tenants=*/1, GangFixture::ImportedHostBytes(1));
+  TieredContextStore* tiers = fx.db->tiers();
+  ASSERT_NE(tiers, nullptr);
+  const uint64_t disk_before = fx.env.disk_usage().current();
+  auto wait_until = [](auto done) {
+    while (!done()) std::this_thread::sleep_for(std::chrono::microseconds(50));
+  };
+  auto parked = [tiers] { return tiers->stats().parked_spills; };
+  // Gate state the drivers' on_token callbacks read: declared before the
+  // engines so it outlives their drivers on every exit path.
+  std::atomic<bool> high_queued[2] = {false, false};
+  std::atomic<size_t> low_steps[2] = {0, 0};
+  ThreadPool pool_b(2);
+  ServingEngineOptions opts_b = fx.EngineOptions(1, 1);
+  opts_b.pool = &pool_b;
+  ServingEngine engines[2] = {{fx.db.get(), fx.EngineOptions(1, 1)},
+                              {fx.db.get(), opts_b}};
+
+  // The on_token gates fix the order: A spills, then B spills, then A
+  // resumes, then B resumes.
+  //   - Each low's first token parks its driver until its engine's high is
+  //     queued, so the next step boundary preempts the low mid-decode.
+  //   - A's high holds A's driver until B has parked too: A cannot resume
+  //     before B spills.
+  //   - B's high holds B's driver until A's low decoded a token after its
+  //     resume.
+  ServingRequest low[2], high[2];
+  for (size_t e = 0; e < 2; ++e) {
+    low[e] = fx.MakeRequest(0, kLowSeed[e], kLowSteps);
+    low[e].on_token = [&, e](size_t step, std::span<const float>) {
+      low_steps[e].fetch_add(1);
+      wait_until([&] { return step > 0 || high_queued[e].load(); });
+    };
+    high[e] = fx.MakeRequest(0, 70 + e, kHighSteps);
+    high[e].priority = 1;
+  }
+  high[0].on_token = [&](size_t step, std::span<const float>) {
+    wait_until([&] { return step > 0 || parked() >= 2; });
+  };
+  high[1].on_token = [&](size_t step, std::span<const float>) {
+    wait_until([&] { return step > 0 || low_steps[0].load() >= 2; });
+  };
+
+  RequestHandle low_h[2], high_h[2];
+  for (size_t e = 0; e < 2; ++e) {
+    ASSERT_TRUE(engines[e].Start().ok());
+    auto l = engines[e].Submit(std::move(low[e]));
+    ASSERT_TRUE(l.ok());
+    low_h[e] = l.value();
+    wait_until([&] { return low_steps[e].load() >= 1; });
+    auto h = engines[e].Submit(std::move(high[e]));
+    ASSERT_TRUE(h.ok());
+    high_h[e] = h.value();
+    high_queued[e].store(true);
+    wait_until([&] { return parked() >= e + 1; });  // Engine e has spilled.
+  }
+
+  for (size_t e = 0; e < 2; ++e) {
+    SCOPED_TRACE(testing::Message() << "engine " << e);
+    const RequestResult* hr = high_h[e].Wait();
+    ASSERT_NE(hr, nullptr);
+    EXPECT_TRUE(hr->status.ok()) << hr->status.ToString();
+    const RequestResult* lr = low_h[e].Wait();
+    ASSERT_NE(lr, nullptr);
+    ASSERT_TRUE(lr->status.ok()) << lr->status.ToString();
+    EXPECT_EQ(lr->steps_completed, kLowSteps);
+    EXPECT_EQ(lr->preemptions, 1u);
+    EXPECT_EQ(lr->resumes, 1u);
+    EXPECT_EQ(lr->outputs, goldens[e]);
+    ASSERT_TRUE(engines[e].Shutdown().ok());
+  }
+
+  // Both parked KVs went through the tier store and came back; the counters
+  // are DB-wide, so both engines report them, and the disk tier is empty again.
+  const TieredContextStore::Stats ts = tiers->stats();
+  EXPECT_EQ(ts.parked_spills, 2u);
+  EXPECT_EQ(ts.parked_restores, 2u);
+  EXPECT_EQ(ts.spills, 0u);
+  for (const ServingEngine& engine : engines) {
+    EXPECT_EQ(engine.snapshot().suspend_spills, 2u);
+    EXPECT_EQ(engine.snapshot().suspend_restores, 2u);
+  }
+  EXPECT_EQ(fx.env.disk_usage().current(), disk_before);
 }
 
 TEST(ServingGangTest, MultiGangStressAllComplete) {

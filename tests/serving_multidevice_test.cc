@@ -46,7 +46,7 @@ struct MultiDeviceFixture {
   ServingEngineOptions EngineOptions(size_t max_concurrent, size_t devices) {
     ServingEngineOptions o;
     o.scheduler.max_concurrent_sessions = max_concurrent;
-    o.devices = devices;
+    o.scheduler.devices = devices;
     o.pool = &pool;
     return o;
   }

@@ -325,7 +325,7 @@ TieredServingRun ServeTiered(VectorCodec codec, uint64_t host_budget_bytes,
 
   ServingEngineOptions eopts;
   eopts.scheduler.max_concurrent_sessions = 2;
-  eopts.devices = devices;
+  eopts.scheduler.devices = devices;
   eopts.pool = &pool;
   ServingEngine engine(&db, eopts);
   std::vector<RequestHandle> handles;

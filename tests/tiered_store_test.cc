@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -464,6 +465,86 @@ TEST(TieredStoreTest, ConcurrentDistinctPageInsAreSafe) {
     EXPECT_EQ(s.value().reused_prefix, kTokens);
     ExpectBitIdentical(fx.Decode(s.value().session.get(), kSteps), goldens[i]);
   }
+}
+
+// --- Suspended-KV parking: a preempted request's KV parks on disk under a
+// --- DB-unique key outside the context namespace, comes back bit-identical,
+// --- returns its disk reservation, and is never resurrected by warm start.
+
+void ExpectKvIdentical(const ModelConfig& model, const KvCache& got,
+                       const KvCache& want) {
+  for (uint32_t layer = 0; layer < model.num_layers; ++layer) {
+    ASSERT_EQ(got.NumTokens(layer), want.NumTokens(layer));
+    for (uint32_t h = 0; h < model.num_kv_heads; ++h) {
+      const size_t bytes = want.Keys(layer, h).n * want.Keys(layer, h).d * sizeof(float);
+      EXPECT_EQ(std::memcmp(got.Keys(layer, h).data, want.Keys(layer, h).data, bytes), 0)
+          << "keys layer " << layer << " head " << h;
+      EXPECT_EQ(std::memcmp(got.Values(layer, h).data, want.Values(layer, h).data, bytes), 0)
+          << "values layer " << layer << " head " << h;
+    }
+  }
+}
+
+TEST(TieredStoreTest, ParkedKvRoundTripIsExactAndNeverWarmStarts) {
+  constexpr size_t kTokens = 64, kParkedTokens = 24;
+  TempSpillDir dir;
+  ASSERT_FALSE(dir.path.empty());
+
+  TierFixture fx;
+  fx.options.tier.spill_dir = dir.path;
+  fx.options.tier.durable = true;  // One stored context on disk for warm start.
+  uint64_t stored_id = 0;
+  {
+    AlayaDB db(fx.options, &fx.env);
+    TieredContextStore* tiers = db.tiers();
+    auto imported = db.Import(fx.TokenRange(0, kTokens), fx.MakeKv(kTokens, 80));
+    ASSERT_TRUE(imported.ok());
+    stored_id = imported.value();
+    const uint64_t disk_before = fx.env.disk_usage().current();
+
+    KvCache a = std::move(*fx.MakeKv(kParkedTokens, 81));
+    KvCache b = std::move(*fx.MakeKv(kParkedTokens, 82));
+    Result<uint64_t> ka = tiers->ParkKv(&a);
+    Result<uint64_t> kb = tiers->ParkKv(&b);
+    ASSERT_TRUE(ka.ok()) << ka.status().ToString();
+    ASSERT_TRUE(kb.ok()) << kb.status().ToString();
+    EXPECT_NE(ka.value(), 0u);
+    EXPECT_NE(ka.value(), kb.value());
+    EXPECT_EQ(a.NumTokens(), 0u);  // The host copy is gone.
+    EXPECT_GT(fx.env.disk_usage().current(), disk_before);
+    EXPECT_EQ(tiers->stats().parked_spills, 2u);
+
+    // Restore: bit-identical to what was parked.
+    Result<KvCache> back = tiers->UnparkKv(ka.value());
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    ExpectKvIdentical(fx.model, back.value(), *fx.MakeKv(kParkedTokens, 81));
+    EXPECT_EQ(tiers->stats().parked_restores, 1u);
+    EXPECT_TRUE(tiers->UnparkKv(ka.value()).status().IsNotFound());  // Retired.
+
+    // Drop: the request ended while parked. Both retirements return the disk
+    // reservation.
+    tiers->DropParkedKv(kb.value());
+    EXPECT_EQ(fx.env.disk_usage().current(), disk_before);
+
+    // Retired keys are reused; this one stays parked across the "kill".
+    KvCache c = std::move(*fx.MakeKv(kParkedTokens, 83));
+    Result<uint64_t> kc = tiers->ParkKv(&c);
+    ASSERT_TRUE(kc.ok());
+    EXPECT_EQ(kc.value(), ka.value());
+    EXPECT_EQ(tiers->stats().spills, 0u);  // Parking is not a context spill.
+  }
+
+  // Warm start over the same directory sees the parked manifests on disk but
+  // registers only the stored context.
+  TierFixture restarted;
+  restarted.options.tier.spill_dir = dir.path;
+  restarted.options.tier.warm_start = true;
+  AlayaDB db(restarted.options, &restarted.env);
+  ASSERT_TRUE(db.tiers()->warm_start_status().ok())
+      << db.tiers()->warm_start_status().ToString();
+  EXPECT_EQ(db.tiers()->stats().warm_started, 1u);
+  EXPECT_EQ(db.tiers()->stats().warm_start_skipped, 0u);
+  EXPECT_EQ(db.contexts().Ids(), std::vector<uint64_t>{stored_id});
 }
 
 }  // namespace
