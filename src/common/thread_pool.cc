@@ -63,30 +63,28 @@ void ThreadPool::WorkerLoop() {
 namespace {
 
 // Shared state of one ParallelFor call. Heap-allocated and reference-counted
-// because helper tasks may still be queued (and never grab a chunk) after the
-// caller has returned; they must find live atomics, not a dead stack frame.
+// because helper tasks may still be queued (and never claim an index) after
+// the caller has returned; they must find live atomics, not a dead stack frame.
 struct ParallelForState {
   std::atomic<size_t> next;
-  std::atomic<size_t> chunks_done{0};
+  std::atomic<size_t> done{0};
   size_t end = 0;
-  size_t chunk_size = 0;
-  size_t total_chunks = 0;
-  const std::function<void(size_t)>* fn = nullptr;  ///< Valid until chunks_done == total.
+  size_t total = 0;
+  const std::function<void(size_t)>* fn = nullptr;  ///< Valid until done == total.
   std::mutex mu;
   std::condition_variable cv;
 
-  /// Grabs and executes chunks until none remain; completion is signaled via
-  /// chunks_done/cv when the last chunk finishes.
-  void RunChunks() {
-    for (;;) {
-      const size_t lo = next.fetch_add(chunk_size);
-      if (lo >= end) return;
-      const size_t hi = std::min(end, lo + chunk_size);
-      for (size_t i = lo; i < hi; ++i) (*fn)(i);
-      if (chunks_done.fetch_add(1) + 1 == total_chunks) {
-        std::unique_lock<std::mutex> lk(mu);
-        cv.notify_all();
-      }
+  /// Claims and runs one index at a time until the range is exhausted, then
+  /// credits its count to `done`; whoever completes the range signals cv.
+  void Run() {
+    size_t ran = 0;
+    for (size_t i = next.fetch_add(1); i < end; i = next.fetch_add(1)) {
+      (*fn)(i);
+      ++ran;
+    }
+    if (ran > 0 && done.fetch_add(ran) + ran == total) {
+      std::unique_lock<std::mutex> lk(mu);
+      cv.notify_all();
     }
   }
 };
@@ -97,31 +95,29 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
                              const std::function<void(size_t)>& fn, size_t min_grain) {
   if (begin >= end) return;
   const size_t n = end - begin;
-  const size_t nthreads = num_threads();
-  if (n <= min_grain || nthreads <= 1) {
+  if (n <= min_grain) {
     for (size_t i = begin; i < end; ++i) fn(i);
     return;
   }
-  // Dynamic chunking: ~4 chunks per worker bounds scheduling overhead while
-  // keeping load balance for skewed work.
-  const size_t chunks = std::min(n, nthreads * 4);
   auto state = std::make_shared<ParallelForState>();
   state->next.store(begin);
   state->end = end;
-  state->chunk_size = (n + chunks - 1) / chunks;
-  state->total_chunks = (n + state->chunk_size - 1) / state->chunk_size;
+  state->total = n;
   state->fn = &fn;
-  // One helper per extra chunk; the caller is itself a participant. The caller
-  // executing chunks (instead of sleeping on a condvar) is what makes nested
-  // ParallelFor calls — e.g. an index build issued from inside a serving-engine
-  // pool task — deadlock-free: every caller is guaranteed forward progress on
-  // its own work even when all workers are busy.
-  for (size_t c = 1; c < state->total_chunks; ++c) {
-    Submit([state] { state->RunChunks(); });
+  // At most one helper per worker, and the caller is itself a participant: a
+  // pool of N workers works the range N+1 wide. Indices are claimed one at a
+  // time, so items of uneven cost (per-head DIPRS searches) balance across the
+  // participants. The caller claiming work (instead of sleeping on a condvar)
+  // is also what makes nested ParallelFor calls — e.g. an index build issued
+  // from inside a serving-engine pool task — deadlock-free: every caller is
+  // guaranteed forward progress on its own work even when all workers are busy.
+  const size_t helpers = std::min(n - 1, num_threads());
+  for (size_t h = 0; h < helpers; ++h) {
+    Submit([state] { state->Run(); });
   }
-  state->RunChunks();
+  state->Run();
   std::unique_lock<std::mutex> lk(state->mu);
-  state->cv.wait(lk, [&] { return state->chunks_done.load() == state->total_chunks; });
+  state->cv.wait(lk, [&] { return state->done.load() == state->total; });
 }
 
 void ThreadPool::ParallelForChunked(size_t begin, size_t end, size_t num_chunks,

@@ -1,4 +1,4 @@
-// Fixed-size worker pool with a chunked ParallelFor helper.
+// Fixed-size worker pool with a caller-participating ParallelFor helper.
 #pragma once
 
 #include <atomic>
@@ -30,8 +30,10 @@ class ThreadPool {
   /// tasks) have completed.
   void Wait();
 
-  /// Runs fn(i) for i in [begin, end) across the pool, blocking until done.
-  /// Falls back to inline execution for tiny ranges.
+  /// Runs fn(i) for i in [begin, end), blocking until done. The caller always
+  /// participates: a pool of N workers works the range with N+1 threads (so a
+  /// one-worker pool is two wide). Each participant claims one index at a time
+  /// from a shared cursor. Runs inline only when end - begin <= min_grain.
   void ParallelFor(size_t begin, size_t end, const std::function<void(size_t)>& fn,
                    size_t min_grain = 1);
 

@@ -123,8 +123,9 @@ Status Session::Attention(uint32_t layer, const float* q, float* out,
     const size_t off = static_cast<size_t>(h) * config_.head_dim;
     ALAYA_RETURN_IF_ERROR(AttendHead(layer, h, q + off, out + off, &head_stats));
     total.Add(head_stats);
-    total.plan_explain = head_stats.plan_explain;
   }
+  // The plan depends only on the layer, so every head ran this same plan.
+  total.plan_explain = optimizer_.Plan(MakeQueryContext(layer)).Explain();
   ChargeModeledGpuSeconds(total.modeled_gpu_seconds);
   if (stats != nullptr) *stats = total;
   return Status::Ok();
@@ -213,7 +214,6 @@ Status Session::AttendHead(uint32_t layer, uint32_t q_head, const float* qh,
   VectorSetView loc_vals = local_.Values(layer, kv_head);
 
   const QueryPlan plan = optimizer_.Plan(MakeQueryContext(layer));
-  stats->plan_explain = plan.Explain();
 
   PartialAttention state(d);
 

@@ -19,9 +19,9 @@ struct ServingFixture {
   DbOptions options;
   std::unique_ptr<AlayaDB> db;
   uint64_t context_id = 0;
-  /// Explicit multi-thread pool: the global pool may have one worker on small
-  /// CI machines, which would silently serialize the "concurrent" runs.
-  ThreadPool pool{4};
+  /// Explicit pool: the global pool may have one worker on small CI machines,
+  /// and the engine's pool shape is part of what a test pins.
+  ThreadPool pool;
 
   ServingEngineOptions EngineOptions(size_t max_concurrent) {
     ServingEngineOptions o;
@@ -30,7 +30,7 @@ struct ServingFixture {
     return o;
   }
 
-  ServingFixture() {
+  explicit ServingFixture(size_t pool_workers = 4) : pool(pool_workers) {
     options.model = model;
     options.session.optimizer.short_context_threshold = 64;
     options.session.window = WindowConfig{8, 16};
@@ -84,12 +84,14 @@ struct ServingFixture {
   }
 };
 
-TEST(ServingEngineTest, ConcurrentMatchesSequential) {
+// Runs the same requests concurrently, on an engine pool of `pool_workers`,
+// and sequentially (one session at a time), and expects bit-identical outputs.
+void ExpectConcurrentMatchesSequential(size_t pool_workers) {
   constexpr int kRequests = 3;
   constexpr size_t kSteps = 4;
 
   // Concurrent run: all sessions admitted and stepped together.
-  ServingFixture concurrent_fx;
+  ServingFixture concurrent_fx(pool_workers);
   ServingEngine concurrent(concurrent_fx.db.get(),
                            concurrent_fx.EngineOptions(kRequests));
   std::vector<uint64_t> cids;
@@ -127,6 +129,16 @@ TEST(ServingEngineTest, ConcurrentMatchesSequential) {
     // Bit-identical: concurrency changes scheduling, never math.
     EXPECT_EQ(c->outputs, s->outputs) << "request " << i;
   }
+}
+
+TEST(ServingEngineTest, ConcurrentMatchesSequential) {
+  ExpectConcurrentMatchesSequential(4);
+}
+
+TEST(ServingEngineTest, ConcurrentMatchesSequentialOnOneWorkerPool) {
+  // The serving benchmark's pool shape: each layer's head jobs split between
+  // the driver thread and the sole worker.
+  ExpectConcurrentMatchesSequential(1);
 }
 
 TEST(ServingEngineTest, MemoryBudgetSerializesAdmission) {

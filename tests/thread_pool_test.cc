@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace alaya {
@@ -101,6 +103,41 @@ TEST(ThreadPoolTest, NestedParallelForChunkedFromTasks) {
   }
   pool.Wait();
   EXPECT_EQ(total.load(), 720);
+}
+
+TEST(ThreadPoolTest, OneWorkerPoolSharesRangeWithCaller) {
+  // A pool of N workers works a range N+1 wide: with one worker, the caller
+  // and the worker must each run one of two items at the same time. Each body
+  // waits (bounded) for the other to start, so a caller that ran the range
+  // alone would time out with only one body started.
+  ThreadPool pool(1);
+  std::atomic<int> started{0};
+  std::thread::id ran_on[2];
+  bool met[2] = {false, false};
+  pool.ParallelFor(0, 2, [&](size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+    started.fetch_add(1);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (started.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    met[i] = started.load() == 2;
+  });
+  EXPECT_TRUE(met[0]);
+  EXPECT_TRUE(met[1]);
+  EXPECT_NE(ran_on[0], ran_on[1]);
+}
+
+TEST(ThreadPoolTest, OneWorkerNestedParallelFor) {
+  // The sole worker issues a ParallelFor from inside its own task: its helper
+  // can only queue behind that task, so the caller must finish the range.
+  ThreadPool pool(1);
+  std::atomic<int> total{0};
+  pool.Submit([&] {
+    pool.ParallelFor(0, 100, [&](size_t) { total.fetch_add(1); });
+  });
+  pool.Wait();
+  EXPECT_EQ(total.load(), 100);
 }
 
 TEST(ThreadPoolTest, GlobalPoolIsUsable) {
