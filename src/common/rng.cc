@@ -67,10 +67,6 @@ void Rng::FillGaussian(float* out, size_t n) {
   for (size_t i = 0; i < n; ++i) out[i] = GaussianFloat();
 }
 
-void Rng::FillUniform(float* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] = UniformFloat();
-}
-
 std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   assert(k <= n);
   // Floyd's algorithm: O(k) expected memory, no O(n) permutation.

@@ -37,8 +37,6 @@ class Rng {
   double Uniform();
   /// Uniform float in [0, 1).
   float UniformFloat() { return static_cast<float>(Uniform()); }
-  /// Uniform double in [lo, hi).
-  double UniformRange(double lo, double hi) { return lo + (hi - lo) * Uniform(); }
   /// Uniform integer in [0, bound). bound must be > 0.
   uint64_t UniformInt(uint64_t bound);
 
@@ -50,8 +48,6 @@ class Rng {
 
   /// Fills `out[0..n)` with i.i.d. N(0, 1) floats.
   void FillGaussian(float* out, size_t n);
-  /// Fills `out[0..n)` with i.i.d. U[0, 1) floats.
-  void FillUniform(float* out, size_t n);
 
   /// Returns k distinct indices drawn uniformly from [0, n). k <= n required.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);

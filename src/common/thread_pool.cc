@@ -120,21 +120,6 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
   state->cv.wait(lk, [&] { return state->done.load() == state->total; });
 }
 
-void ThreadPool::ParallelForChunked(size_t begin, size_t end, size_t num_chunks,
-                                    const std::function<void(size_t, size_t)>& fn) {
-  if (begin >= end) return;
-  const size_t n = end - begin;
-  num_chunks = std::max<size_t>(1, std::min(num_chunks, n));
-  const size_t chunk = (n + num_chunks - 1) / num_chunks;
-  const size_t total = (n + chunk - 1) / chunk;
-  // One ParallelFor iteration per chunk index: reuses the caller-participates
-  // scheme instead of duplicating it.
-  ParallelFor(0, total, [&](size_t c) {
-    const size_t lo = begin + c * chunk;
-    fn(lo, std::min(end, lo + chunk));
-  });
-}
-
 ThreadPool& ThreadPool::Global() {
   static ThreadPool pool(0);
   return pool;

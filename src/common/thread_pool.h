@@ -37,11 +37,6 @@ class ThreadPool {
   void ParallelFor(size_t begin, size_t end, const std::function<void(size_t)>& fn,
                    size_t min_grain = 1);
 
-  /// Runs fn(chunk_begin, chunk_end) over contiguous chunks; useful when the
-  /// body wants per-chunk scratch state.
-  void ParallelForChunked(size_t begin, size_t end, size_t num_chunks,
-                          const std::function<void(size_t, size_t)>& fn);
-
   size_t num_threads() const { return workers_.size(); }
 
   /// Process-wide shared pool (lazily constructed with hardware concurrency).

@@ -45,7 +45,7 @@ AlayaDB::AlayaDB(const DbOptions& options, SimEnvironment* env)
 
 AlayaDB::~AlayaDB() {
   // In-flight jobs capture `this`; they must finish before members die.
-  (void)WaitForMaterialization();
+  (void)Drain();
 }
 
 ThreadPool* AlayaDB::MaterializePool() const {
@@ -155,29 +155,6 @@ Result<AlayaDB::SessionResume> AlayaDB::ResumeSession(uint64_t context_id,
                                           reused == nullptr ? 0 : reused_prefix,
                                           env_, device);
   return out;
-}
-
-Result<uint64_t> AlayaDB::MigrateShard(uint64_t context_id, int from, int to) {
-  if (from == to) return Status::InvalidArgument("migration source == target");
-  std::shared_ptr<Context> ref = contexts_.FindShared(context_id);
-  if (ref == nullptr) return Status::NotFound("context not in store");
-  if (ref->resident_device() != from) {
-    // A session re-homed the context between the caller's load probe and now
-    // (last-user-wins residency). The migration plan is stale; moving it
-    // anyway would fight the session that just pulled it.
-    return Status::FailedPrecondition("context is not resident on the source");
-  }
-  // Same bytes CreateSession's cross-device reuse moves: the window over the
-  // stored sequence — the part a future session keeps device-resident.
-  const WindowCache window(options_.session.window);
-  const size_t length = ref->length();
-  const size_t window_tokens = std::min(window.Size(length), length);
-  const uint64_t bytes =
-      static_cast<uint64_t>(window_tokens) * options_.model.KvBytesPerToken();
-  Device& dst = env_->device(static_cast<size_t>(std::max(to, 0)));
-  dst.clock().Advance(dst.cost_model().TransferSeconds(bytes));
-  ref->set_resident_device(to);
-  return bytes;
 }
 
 Status AlayaDB::BuildIndices(Context* context, const QuerySamples* queries,
@@ -372,7 +349,7 @@ void AlayaDB::RecordMaterializationOutcome(uint64_t id, const Status& status,
   if (was_queued) mat_cv_.notify_all();
 }
 
-Status AlayaDB::WaitForMaterialization() {
+Status AlayaDB::Drain() {
   std::unique_lock<std::mutex> lk(mat_mu_);
   mat_cv_.wait(lk, [&] { return mat_pending_ == 0; });
   return mat_first_error_;

@@ -147,9 +147,7 @@ class AlayaDB {
   /// Blocks until every scheduled materialization has published (or failed);
   /// returns the sticky first failure. The barrier RunToCompletion and tests
   /// use to observe Store completion.
-  Status WaitForMaterialization();
-  /// Alias for WaitForMaterialization().
-  Status Drain() { return WaitForMaterialization(); }
+  Status Drain();
   MaterializationStats materialization_stats() const;
 
   /// Per-reservation failures: reserved context id -> why its materialization
@@ -173,17 +171,6 @@ class AlayaDB {
   void PrefetchContext(uint64_t id) {
     if (tiers_ != nullptr) tiers_->PrefetchAsync(id);
   }
-
-  /// Cross-device KV migration: moves context `context_id`'s device residency
-  /// from `from` to `to`, charging the modeled transfer of its window bytes
-  /// (the same formula CreateSession's cross-device reuse pays) to the
-  /// DESTINATION device's clock — it is the one stalled receiving. The
-  /// scheduler's rebalance probe calls this to shed a warm shard off a hot
-  /// device; subsequent prefix hits then place toward `to` via the affinity
-  /// probe. Returns the bytes moved. Fails kNotFound for unknown ids and
-  /// kFailedPrecondition when the context is not actually resident on `from`
-  /// (it raced a session re-homing it — the migration is stale, skip it).
-  Result<uint64_t> MigrateShard(uint64_t context_id, int from, int to);
 
  private:
   Status BuildIndices(Context* context, const QuerySamples* queries,

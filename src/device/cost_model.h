@@ -24,9 +24,6 @@ struct CostModel {
   /// KV-cache decompression throughput for the LMCache-style baseline
   /// (CacheGen-like codecs decode a few GB/s on CPU).
   double kv_decompress_gbps = 4.0;
-  /// GPU kNN-graph construction throughput (cuVS NN-descent; pairwise-distance
-  /// equivalent FLOP rate).
-  double gpu_knn_tflops = 12.0;
   /// Per-kernel launch overhead.
   double kernel_launch_seconds = 10e-6;
   /// NVMe read bandwidth for the vector file system tier.
@@ -58,11 +55,6 @@ struct CostModel {
   /// Seconds to decompress `bytes` of compressed KV cache.
   double DecompressSeconds(uint64_t bytes) const {
     return static_cast<double>(bytes) / (kv_decompress_gbps * 1e9);
-  }
-
-  /// Seconds for the GPU to do `flops` of kNN-construction distance work.
-  double GpuKnnSeconds(double flops) const {
-    return kernel_launch_seconds + flops / (gpu_knn_tflops * 1e12);
   }
 
   /// Seconds for one NVMe read of `bytes`.

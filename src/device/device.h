@@ -70,9 +70,8 @@ class DeviceSet {
 /// The simulated hardware environment (N GPUs, host DRAM, NVMe).
 /// GPU-resident structures reserve bytes on their device's tracker; modeled
 /// kernel and transfer durations accumulate in that device's clock. The
-/// legacy single-device accessors (gpu_memory, gpu_clock, cost_model,
-/// ChargeTransfer, ChargeGpuAttention) are views of device 0, so every
-/// pre-sharding caller keeps its exact behavior.
+/// legacy single-device accessors (gpu_memory, gpu_clock, cost_model) are
+/// views of device 0, so every pre-sharding caller keeps its exact behavior.
 class SimEnvironment {
  public:
   explicit SimEnvironment(size_t num_devices = 1)
@@ -97,18 +96,6 @@ class SimEnvironment {
 
   VirtualClock& gpu_clock() { return devices_.At(0).clock(); }
   const VirtualClock& gpu_clock() const { return devices_.At(0).clock(); }
-
-  /// Charges a host->device (or device->host) transfer to device 0.
-  void ChargeTransfer(uint64_t bytes) {
-    Device& d = devices_.At(0);
-    d.clock().Advance(d.cost_model().TransferSeconds(bytes));
-  }
-
-  /// Charges `flops` of GPU attention work to device 0.
-  void ChargeGpuAttention(double flops) {
-    Device& d = devices_.At(0);
-    d.clock().Advance(d.cost_model().GpuAttentionSeconds(flops));
-  }
 
   /// Process-wide default environment (single device).
   static SimEnvironment& Global();

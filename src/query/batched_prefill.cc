@@ -1,7 +1,5 @@
 #include "src/query/batched_prefill.h"
 
-#include "src/query/batched_execution.h"
-
 namespace alaya {
 
 Status RunPrefillJob(const SessionPrefillJob& job) {
@@ -28,12 +26,6 @@ Status RunPrefillJob(const SessionPrefillJob& job) {
   return Status::Ok();
 }
 
-Status ExecutePrefillJobs(std::span<SessionPrefillJob> jobs, ThreadPool* pool,
-                          std::vector<Status>* per_job) {
-  return ExecuteJobBatch(jobs, pool, per_job,
-                         [](const SessionPrefillJob& job) { return RunPrefillJob(job); });
-}
-
 PrefillWave::~PrefillWave() { Wait(); }
 
 void PrefillWave::Launch(const SessionPrefillJob& job, Status* status, ThreadPool* pool) {
@@ -41,7 +33,6 @@ void PrefillWave::Launch(const SessionPrefillJob& job, Status* status, ThreadPoo
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++outstanding_;
-    ++launched_;
   }
   pool->Submit([this, job, status]() {
     Status s = RunPrefillJob(job);

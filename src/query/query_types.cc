@@ -14,20 +14,4 @@ const char* QueryClassName(QueryClass c) {
   return "?";
 }
 
-bool IndexSupportsQuery(IndexClass index, QueryClass query) {
-  if (query == QueryClass::kFullAttention) return false;  // Bypasses indices.
-  switch (index) {
-    case IndexClass::kCoarse:
-      // Coarse: Top-k and Filter only — block granularity cannot answer the
-      // per-key DIPR predicate.
-      return query == QueryClass::kTopK;
-    case IndexClass::kFine:
-    case IndexClass::kFlat:
-      return query == QueryClass::kTopK || query == QueryClass::kDipr;
-  }
-  return false;
-}
-
-bool IndexSupportsFilter(IndexClass) { return true; }
-
 }  // namespace alaya

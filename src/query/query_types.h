@@ -1,13 +1,9 @@
 // Query classes supported by the query processing engine (Fig. 3, §6.2).
 //
-// Both query types and index types are extensible registries: the optimizer
-// consults SupportMatrix() (Table 4) instead of hard-coding pairs, so new
-// query/index classes can be slotted in.
+// Table 4's support matrix is not a runtime table: the rule-based optimizer
+// (optimizer.h) only pairs top-k with the coarse index and DIPR with the fine
+// or flat index, and CoarseIndex rejects DIPR with kNotSupported.
 #pragma once
-
-#include <string>
-
-#include "src/index/index.h"
 
 namespace alaya {
 
@@ -19,11 +15,5 @@ enum class QueryClass : int {
 };
 
 const char* QueryClassName(QueryClass c);
-
-/// Table 4: which index types can process which query types.
-bool IndexSupportsQuery(IndexClass index, QueryClass query);
-
-/// Table 4: whether the index supports attribute filtering (all three do).
-bool IndexSupportsFilter(IndexClass index);
 
 }  // namespace alaya

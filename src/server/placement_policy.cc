@@ -169,26 +169,4 @@ PlacementDecision GangPlacement::Place(const PlacementRequest& request,
   return out;
 }
 
-PlacementDecision LeastLoadedPlacement::Place(const PlacementRequest& request,
-                                              std::span<const DeviceLoad> loads,
-                                              double tpot_slo_seconds) const {
-  int best = -1;
-  uint64_t best_free = 0;
-  size_t best_sessions = 0;
-  for (const DeviceLoad& load : loads) {
-    if (!DeviceFits(request, load, tpot_slo_seconds)) continue;
-    if (load.device == request.affinity_device) {
-      return Decide(request, loads, load.device);
-    }
-    const uint64_t free = load.FreeBytes();
-    if (best < 0 || free > best_free ||
-        (free == best_free && load.active_sessions < best_sessions)) {
-      best = load.device;
-      best_free = free;
-      best_sessions = load.active_sessions;
-    }
-  }
-  return Decide(request, loads, best);
-}
-
 }  // namespace alaya

@@ -97,17 +97,6 @@ class BestFitPlacement : public PlacementPolicy {
                           double tpot_slo_seconds) const override;
 };
 
-/// Spread policy: least-loaded first (most free bytes wins; ties on fewer
-/// active sessions, then lowest id). Maximizes headroom per device — the
-/// latency-friendly choice when contexts are cheap to move or requests are
-/// uniform. Same affinity bonus as best-fit.
-class LeastLoadedPlacement : public PlacementPolicy {
- public:
-  PlacementDecision Place(const PlacementRequest& request,
-                          std::span<const DeviceLoad> loads,
-                          double tpot_slo_seconds) const override;
-};
-
 /// Gang-aware placement (context parallelism): single device when the request
 /// fits one, the smallest sufficient gang otherwise. Single-device placement
 /// delegates to an inner policy (BestFitPlacement by default, affinity bonus

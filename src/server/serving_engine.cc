@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <span>
+#include <string>
 
 #include "src/common/rng.h"
 #include "src/device/gang.h"
-#include "src/query/batched_diprs.h"
 
 namespace alaya {
 
@@ -28,6 +28,12 @@ ServingEngineOptions WithDefaults(AlayaDB* db, ServingEngineOptions o) {
     };
   }
   return o;
+}
+
+/// Names where a request taken off the scheduler queue was waiting, for its
+/// terminal status message.
+std::string QueuedPhase(const RequestScheduler::Admitted& adm) {
+  return adm.resume ? "while suspended" : "before admission";
 }
 
 }  // namespace
@@ -260,6 +266,15 @@ void ServingEngine::FinalizeUnadmitted(RequestScheduler::Admitted&& adm,
   FinalizeResult(adm.id, std::move(r));
 }
 
+void ServingEngine::FinalizeDequeued(RequestScheduler::Admitted&& adm,
+                                     Status status) {
+  if (adm.resume) {
+    FinalizeSuspended(adm.id, std::move(status));
+  } else {
+    FinalizeUnadmitted(std::move(adm), std::move(status));
+  }
+}
+
 void ServingEngine::FinalizeSuspended(uint64_t id, Status status) {
   auto it = suspended_.find(id);
   if (it == suspended_.end()) return;
@@ -461,15 +476,8 @@ void ServingEngine::SweepCancellations() {
   const auto now = std::chrono::steady_clock::now();
   finalizing_.fetch_add(1);  // Covers the dequeue-to-publication window.
   for (RequestScheduler::Admitted& adm : scheduler_.RemoveQueuedExpired(now)) {
-    if (adm.resume) {
-      // A suspended request's deadline expired while it waited for a slot:
-      // owning its (just removed) resume entry, finalize the parked state.
-      FinalizeSuspended(adm.id,
-                        Status::DeadlineExceeded("deadline expired while suspended"));
-    } else {
-      FinalizeUnadmitted(std::move(adm),
-                         Status::DeadlineExceeded("deadline expired before admission"));
-    }
+    Status expired = Status::DeadlineExceeded("deadline expired " + QueuedPhase(adm));
+    FinalizeDequeued(std::move(adm), std::move(expired));
   }
   // Cancel-while-suspended: the caller-thread Cancel path deliberately skips
   // resume entries (the driver owns the suspended lifecycle), so the driver
@@ -523,21 +531,16 @@ size_t ServingEngine::AdmitInto(std::vector<ActiveSession*>* newly,
     finalizing_.fetch_add(1);
     std::vector<RequestScheduler::Admitted> round =
         scheduler_.Admit(allow_preempt ? &victims : nullptr);
+    // A resume entry can be rejected too: its footprint is re-estimated from
+    // the session's real reuse, which may exceed what Submit projected.
     for (RequestScheduler::Admitted& adm : scheduler_.TakeNeverFits()) {
-      FinalizeUnadmitted(std::move(adm),
-                         Status::NeverFits("no device's budget can hold the request"));
+      FinalizeDequeued(std::move(adm),
+                       Status::NeverFits("no device's budget can hold the request"));
     }
+    // Expired at pick time, before the boundary sweep saw it.
     for (RequestScheduler::Admitted& adm : scheduler_.TakeExpired()) {
-      // Expired at pick time, before the boundary sweep saw it. Suspended
-      // requests route back through their parked state.
-      if (adm.resume) {
-        FinalizeSuspended(
-            adm.id, Status::DeadlineExceeded("deadline expired while suspended"));
-      } else {
-        FinalizeUnadmitted(
-            std::move(adm),
-            Status::DeadlineExceeded("deadline expired before admission"));
-      }
+      Status expired = Status::DeadlineExceeded("deadline expired " + QueuedPhase(adm));
+      FinalizeDequeued(std::move(adm), std::move(expired));
     }
     finalizing_.fetch_sub(1);
     admitted.insert(admitted.end(), std::make_move_iterator(round.begin()),
@@ -673,6 +676,7 @@ size_t ServingEngine::AdmitInto(std::vector<ActiveSession*>* newly,
     active->v.resize(kvdim);
     active->out.resize(qdim);
     active->head_stats.resize(model.num_q_heads);
+    active->head_status.resize(model.num_q_heads);
     if (active->request.record_outputs) {
       active->result.outputs.reserve(active->request.max_new_tokens * qdim);
     }
@@ -734,7 +738,7 @@ void ServingEngine::LaunchChunk(ActiveSession* a, size_t count, PrefillWave* wav
   wave->Launch(job, &a->chunk_status, pool_);
 }
 
-Status ServingEngine::StepActiveSessions(const WallTimer& step_timer) {
+void ServingEngine::StepActiveSessions(const WallTimer& step_timer) {
   const ModelConfig& model = db_->options().model;
   const size_t d = model.head_dim;
 
@@ -751,7 +755,7 @@ Status ServingEngine::StepActiveSessions(const WallTimer& step_timer) {
       decoding.push_back(a.get());
     }
   }
-  if (decoding.empty() && prefilling.empty()) return Status::Ok();
+  if (decoding.empty() && prefilling.empty()) return;
 
   // Split the step's token budget: decode is funded first (one token per
   // Decoding session — the budget throttles prefill, never TPOT), the
@@ -770,9 +774,8 @@ Status ServingEngine::StepActiveSessions(const WallTimer& step_timer) {
   // are disjoint, so the chunks overlap the entire decode layer loop below
   // (joined once, before accounting) instead of stalling every decoder's
   // first layer behind the slowest chunk. The wave tasks write into the
-  // sessions' scratch and chunk_status, so every exit path below MUST pass
-  // the wave.Wait() join — decode errors are deferred, not returned from
-  // inside the loop.
+  // sessions' scratch and chunk_status, so the step must not return before
+  // the wave.Wait() join below.
   PrefillWave wave;
   std::vector<ActiveSession*> chunked;
   chunked.reserve(prefilling.size());
@@ -789,12 +792,7 @@ Status ServingEngine::StepActiveSessions(const WallTimer& step_timer) {
   // Per-device work this step (folded into device_stats_ under mu_ below).
   std::vector<size_t> dev_tokens(device_stats_.size(), 0);
   std::vector<size_t> dev_prefilled(device_stats_.size(), 0);
-  Status decode_status;  // Engine-level decode error, deferred past the join.
-  std::vector<HeadAttentionJob> jobs;
-  std::vector<ActiveSession*> job_owner;
-  std::vector<Status> job_status;
-  jobs.reserve(decoding.size() * model.num_q_heads);
-  job_owner.reserve(decoding.size() * model.num_q_heads);
+  const uint32_t num_heads = model.num_q_heads;
 
   for (uint32_t layer = 0; decoding.size() > 0 && layer < model.num_layers;
        ++layer) {
@@ -812,31 +810,30 @@ Status ServingEngine::StepActiveSessions(const WallTimer& step_timer) {
       }
     });
 
-    // Phase 2 — batched attention: flatten every decoding session's (session,
-    // q_head) DIPRS/attention query of this layer into one pool batch. A
-    // job's failure fails its own session, never the fleet.
-    jobs.clear();
-    job_owner.clear();
+    // Phase 2 — batched attention: every decoding session's (session, q_head)
+    // DIPRS/attention query of this layer in one pool batch. Index j is head
+    // j % H of session decoding[j / H]; each call writes only its own output
+    // slice, head_stats and head_status slot (AttendHead is reentrant across
+    // heads and leaves the modeled clock untouched).
+    pool_->ParallelFor(0, decoding.size() * num_heads, [&](size_t j) {
+      ActiveSession* a = decoding[j / num_heads];
+      if (a->failed) return;
+      const uint32_t h = static_cast<uint32_t>(j % num_heads);
+      const size_t off = static_cast<size_t>(h) * d;
+      a->head_stats[h] = AttentionCallStats{};
+      a->head_status[h] = a->session->AttendHead(layer, h, a->q.data() + off,
+                                                 a->out.data() + off, &a->head_stats[h]);
+    });
+    // A head's failure fails its own session (first failing head's status),
+    // never the fleet.
     for (ActiveSession* a : decoding) {
       if (a->failed) continue;
-      for (uint32_t h = 0; h < model.num_q_heads; ++h) {
-        a->head_stats[h] = AttentionCallStats{};
-        jobs.push_back(HeadAttentionJob{a->session.get(), layer, h,
-                                        a->q.data() + static_cast<size_t>(h) * d,
-                                        a->out.data() + static_cast<size_t>(h) * d,
-                                        &a->head_stats[h]});
-        job_owner.push_back(a);
-      }
-    }
-    // With a non-null per-job vector ExecuteHeadJobs only returns Ok, but do
-    // not return early on principle: the detached prefill tasks still hold
-    // references into this frame until the join below.
-    decode_status = ExecuteHeadJobs(jobs, pool_, &job_status);
-    if (!decode_status.ok()) break;
-    for (size_t j = 0; j < job_status.size(); ++j) {
-      if (!job_status[j].ok() && !job_owner[j]->failed) {
-        job_owner[j]->result.status = job_status[j];
-        job_owner[j]->failed = true;
+      for (const Status& s : a->head_status) {
+        if (!s.ok()) {
+          a->result.status = s;
+          a->failed = true;
+          break;
+        }
       }
     }
 
@@ -935,13 +932,11 @@ Status ServingEngine::StepActiveSessions(const WallTimer& step_timer) {
     }
   }
 
-  // Join the prefill chunks (unconditionally — see the launch comment), then
-  // propagate any deferred decode error, then fold the prefill results and
-  // charge the modeled device cost: each prompt token is one full-attention
-  // pass over the context visible at its position (per layer and query head)
-  // — the prefill analogue of the decode-side per-step charge.
+  // Join the prefill chunks, then fold their results and charge the modeled
+  // device cost: each prompt token is one full-attention pass over the
+  // context visible at its position (per layer and query head) — the prefill
+  // analogue of the decode-side per-step charge.
   wave.Wait();
-  ALAYA_RETURN_IF_ERROR(decode_status);
   const CostModel& cost = db_->env().cost_model();
   for (ActiveSession* a : chunked) {
     if (!a->chunk_status.ok()) {
@@ -985,7 +980,6 @@ Status ServingEngine::StepActiveSessions(const WallTimer& step_timer) {
     device_stats_[d].tokens_prefilled += dev_prefilled[d];
   }
   SampleResidencyPeaksLocked();
-  return Status::Ok();
 }
 
 void ServingEngine::SampleResidencyPeaksLocked() {
@@ -999,42 +993,6 @@ void ServingEngine::SampleResidencyPeaksLocked() {
         std::max(device_stats_[d].peak_gpu_bytes, current);
   }
   snapshot_.peak_gpu_bytes = std::max(snapshot_.peak_gpu_bytes, fleet_bytes);
-}
-
-void ServingEngine::MaybeRebalance() {
-  if (options_.rebalance_skew_factor <= 0 || device_stats_.size() < 2) return;
-  const std::vector<DeviceLoad> loads = scheduler_.DeviceLoads();
-  size_t hot = 0, cold = 0;
-  for (size_t i = 1; i < loads.size(); ++i) {
-    if (loads[i].reserved_bytes > loads[hot].reserved_bytes) hot = i;
-    if (loads[i].reserved_bytes < loads[cold].reserved_bytes) cold = i;
-  }
-  const double threshold =
-      options_.rebalance_skew_factor *
-      static_cast<double>(std::max<uint64_t>(loads[cold].reserved_bytes, 1));
-  if (hot == cold ||
-      static_cast<double>(loads[hot].reserved_bytes) <= threshold) {
-    return;
-  }
-  // Load skew crossed the trigger: shed ONE warm, unpinned context from the
-  // hot device to the cold one. One migration per probe keeps the correction
-  // gentle — if skew persists, the next step boundary probes again. Pinned
-  // contexts (use_count > 2: the store's ref + ours + a live session's) are
-  // skipped; migrating under a running session would charge its device clock
-  // for KV the session still attends locally.
-  for (const uint64_t id : db_->contexts().Ids()) {
-    std::shared_ptr<Context> ref = db_->contexts().FindShared(id);
-    if (ref == nullptr) continue;  // Spilled or removed — nothing resident.
-    if (ref->resident_device() != static_cast<int>(hot)) continue;
-    if (ref.use_count() != 2) continue;
-    Result<uint64_t> moved = db_->MigrateShard(id, static_cast<int>(hot),
-                                               static_cast<int>(cold));
-    if (!moved.ok()) continue;  // Raced a re-homing; plan is stale, skip.
-    std::lock_guard<std::mutex> lk(mu_);
-    ++snapshot_.shard_migrations;
-    snapshot_.shard_migrated_bytes += moved.value();
-    break;
-  }
 }
 
 void ServingEngine::FinishSession(ActiveSession* active) {
@@ -1115,7 +1073,6 @@ void ServingEngine::DriverLoop() {
     // enter here, the continuous-batching entry point.
     SweepCancellations();
     RetireFinished();
-    MaybeRebalance();
     AdmitPending();
 
     if (active_.empty()) {
@@ -1147,8 +1104,7 @@ void ServingEngine::DriverLoop() {
       a->was_prefilling = a->state == RequestState::kPrefilling;
     }
     WallTimer step_timer;
-    status = StepActiveSessions(step_timer);
-    if (!status.ok()) break;
+    StepActiveSessions(step_timer);
     const double step_seconds = step_timer.ElapsedSeconds();
     for (auto& a : active_) {
       if (a->failed) continue;
@@ -1183,15 +1139,9 @@ void ServingEngine::DriverLoop() {
     RetireFinished();
     finalizing_.fetch_add(1);  // Covers the dequeue-to-publication window.
     for (RequestScheduler::Admitted& adm : scheduler_.TakeAllQueued()) {
-      if (adm.resume) {
-        FinalizeSuspended(adm.id,
-                          status.ok() ? Status::Cancelled("engine aborted while suspended")
-                                      : status);
-      } else {
-        FinalizeUnadmitted(std::move(adm),
-                           status.ok() ? Status::Cancelled("engine aborted before admission")
-                                       : status);
-      }
+      Status aborted =
+          status.ok() ? Status::Cancelled("engine aborted " + QueuedPhase(adm)) : status;
+      FinalizeDequeued(std::move(adm), std::move(aborted));
     }
     // Belt and braces: every suspended request has a resume entry (the
     // invariant), so the loop above drained suspended_ — but a request whose

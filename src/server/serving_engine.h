@@ -39,13 +39,14 @@
 //      decode layer loop;
 //   4. fully-resident sessions decode in lockstep: per layer, every session's
 //      Update runs, then all sessions' (session, q_head) DIPRS/attention
-//      queries are flattened into ONE batch on the shared ThreadPool
-//      (src/query/batched_diprs.h); after a session's last layer its output
-//      block is streamed through on_token; BETWEEN layers (and while waiting
-//      out a prefill-only step) the driver polls the scheduler and admits
-//      newly queued requests mid-step — a new session's first prefill chunk
-//      draws from the step's unspent budget and joins the wave already in
-//      flight instead of waiting for the batch to drain;
+//      queries run as ONE ParallelFor over sessions x heads on the shared
+//      ThreadPool, each a direct Session::AttendHead call; after a session's
+//      last layer its output block is streamed through on_token; BETWEEN
+//      layers (and while waiting out a prefill-only step) the driver polls
+//      the scheduler and admits newly queued requests mid-step — a new
+//      session's first prefill chunk draws from the step's unspent budget
+//      and joins the wave already in flight instead of waiting for the batch
+//      to drain;
 //   5. finished sessions optionally store their context (late
 //      materialization through DB.store_async, off the step loop) and
 //      release their admission reservation, letting the scheduler pull the
@@ -116,14 +117,6 @@ struct ServingEngineOptions {
   /// id-based result() lookup forgets. 0 = unlimited (the old always-grow
   /// behavior; an always-on engine then leaks one entry per request served).
   size_t result_retention = 4096;
-  /// Cross-device KV rebalance probe: when > 0, the driver checks
-  /// reserved-byte skew at each step boundary and migrates ONE warm, unpinned
-  /// context off the hottest device once its reserved bytes exceed
-  /// factor * max(coldest device's reserved bytes, 1). The migration charges
-  /// the destination's clock with the modeled window transfer
-  /// (AlayaDB::MigrateShard); future prefix hits then place toward the cold
-  /// device via the affinity probe. 0 disables the probe.
-  double rebalance_skew_factor = 0;
 };
 
 /// Synthetic id for the `step`-th decoded token of request `request_id`, used
@@ -304,14 +297,10 @@ struct ServingSnapshot {
   size_t preemptions = 0;
   size_t resumes = 0;
   /// Context parallelism: admissions (resumes included) that placed on a
-  /// multi-device gang, the modeled ring-exchange bytes their sessions moved
-  /// between members, and the rebalance probe's shard migrations (count and
-  /// modeled bytes) — see RequestSchedulerOptions::max_gang_size and
-  /// ServingEngineOptions::rebalance_skew_factor.
+  /// multi-device gang, and the modeled ring-exchange bytes their sessions
+  /// moved between members — see RequestSchedulerOptions::max_gang_size.
   size_t gang_admissions = 0;
   uint64_t gang_ring_transfer_bytes = 0;
-  size_t shard_migrations = 0;
-  uint64_t shard_migrated_bytes = 0;
   /// Suspended-KV tiering: parked KVs the tier store spilled to disk because
   /// host DRAM was over DbOptions::tier.host_budget_bytes, and spilled KVs
   /// paged back in at resume (TieredContextStore::Stats::parked_*; DB-wide,
@@ -467,6 +456,7 @@ class ServingEngine {
     std::vector<float> out;  ///< [num_q_heads * head_dim]
     std::vector<float> pq, pk, pv;  ///< Prefill chunk scratch (token-major).
     std::vector<AttentionCallStats> head_stats;  ///< One per q_head.
+    std::vector<Status> head_status;             ///< One per q_head.
     /// Preemption parking: the detached KV + recorded queries while the
     /// request is kSuspended (engaged exactly then), and the host-memory
     /// reservation covering the parked bytes — or, when the tier store parked
@@ -515,15 +505,17 @@ class ServingEngine {
                        std::vector<ActiveSession*>* newly);
   /// Frees a suspended request's parked KV, in host DRAM or on disk.
   void FreeParkedKv(ActiveSession* a);
-  /// Step-boundary rebalance probe (rebalance_skew_factor): migrates one
-  /// warm, unpinned context off the hottest device when reserved-byte skew
-  /// crosses the threshold.
-  void MaybeRebalance();
-  /// Finalizes a request parked in suspended_ (cancel/deadline/abort while
-  /// suspended): publishes the terminal result and frees the parked KV. The
-  /// caller must already own the queue entry (RemoveQueued include_resume /
-  /// TakeExpired / TakeAllQueued) — the id holds no scheduler reservation.
+  /// Finalizes a request parked in suspended_ (cancel/deadline/abort or a
+  /// never-fits placement while suspended): publishes the terminal result and
+  /// frees the parked KV. The caller must already own the queue entry
+  /// (RemoveQueued include_resume, or a resume entry handed to
+  /// FinalizeDequeued) — the id holds no scheduler reservation.
   void FinalizeSuspended(uint64_t id, Status status);
+  /// Finalizes a request the driver just took off the scheduler queue
+  /// (expiry sweeps, placement rejection, abort): resume entries through
+  /// FinalizeSuspended, so their parked KV is freed and their result keeps
+  /// its progress; all others through FinalizeUnadmitted.
+  void FinalizeDequeued(RequestScheduler::Admitted&& adm, Status status);
   /// Mid-step admission: admits queued requests while a step is in flight
   /// (between decode layers / during a prefill-only wave). Newly admitted
   /// Prefilling sessions draw a first chunk from the step's unspent budget
@@ -536,10 +528,12 @@ class ServingEngine {
   /// grant in a->chunk_granted (accounting) and pointing the job's status at
   /// a->chunk_status.
   void LaunchChunk(ActiveSession* a, size_t count, PrefillWave* wave);
-  /// `step_timer` is the driver's wall timer for this step: sessions retired
-  /// mid-step get their partial-step wall time attributed from it (the
-  /// driver's post-step attribution loop no longer sees them).
-  Status StepActiveSessions(const WallTimer& step_timer);
+  /// Runs one engine step over active_. Failures are per session (they land
+  /// in its result), never engine-level. `step_timer` is the driver's wall
+  /// timer for this step: sessions retired mid-step get their partial-step
+  /// wall time attributed from it (the driver's post-step attribution loop no
+  /// longer sees them).
+  void StepActiveSessions(const WallTimer& step_timer);
   /// Folds the fleet's current residency into the per-device and fleet
   /// peak_gpu_bytes high-water marks. Caller holds mu_. Called at the end of
   /// every step, and additionally just before mid-step retirement frees a

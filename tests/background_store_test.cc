@@ -178,7 +178,7 @@ TEST(BackgroundStoreTest, BackgroundMatchesSynchronousStoreBitIdentical) {
   }
 
   // RunToCompletion drained: every materialization published.
-  ASSERT_TRUE(bg_fx.db->WaitForMaterialization().ok());
+  ASSERT_TRUE(bg_fx.db->Drain().ok());
   EXPECT_EQ(bg_fx.db->contexts().pending(), 0u);
   EXPECT_EQ(bg_fx.db->contexts().size(), 1u + kRequests);
   EXPECT_EQ(sync_fx.db->contexts().size(), 1u + kRequests);
@@ -292,7 +292,7 @@ TEST(BackgroundStoreTest, StoreAsyncDetachesAndPublishesThroughDrain) {
             StatusCode::kFailedPrecondition);
 
   // The drain barrier observes publication; the context is whole.
-  ASSERT_TRUE(fx.db->WaitForMaterialization().ok());
+  ASSERT_TRUE(fx.db->Drain().ok());
   const AlayaDB::MaterializationStats stats = fx.db->materialization_stats();
   EXPECT_EQ(stats.pending, 0u);
   EXPECT_EQ(stats.completed, 1u);
@@ -342,7 +342,7 @@ TEST(BackgroundStoreTest, FailedMaterializationIsAttributable) {
 
   auto id = fx.db->StoreAsync(session, {4242});
   ASSERT_TRUE(id.ok());  // Scheduling succeeds; the job itself fails.
-  EXPECT_FALSE(fx.db->WaitForMaterialization().ok());
+  EXPECT_FALSE(fx.db->Drain().ok());
 
   const AlayaDB::MaterializationStats stats = fx.db->materialization_stats();
   EXPECT_EQ(stats.pending, 0u);

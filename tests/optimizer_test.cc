@@ -113,19 +113,6 @@ TEST(OptimizerTest, ExplainStrings) {
   EXPECT_NE(opt.Plan(ctx).Explain().find("attribute_filter"), std::string::npos);
 }
 
-TEST(QueryTypesTest, SupportMatrixMatchesTable4) {
-  // Coarse: Top-k + Filter only. Fine/Flat: Top-k, Filter, DIPR.
-  EXPECT_TRUE(IndexSupportsQuery(IndexClass::kCoarse, QueryClass::kTopK));
-  EXPECT_FALSE(IndexSupportsQuery(IndexClass::kCoarse, QueryClass::kDipr));
-  EXPECT_TRUE(IndexSupportsQuery(IndexClass::kFine, QueryClass::kTopK));
-  EXPECT_TRUE(IndexSupportsQuery(IndexClass::kFine, QueryClass::kDipr));
-  EXPECT_TRUE(IndexSupportsQuery(IndexClass::kFlat, QueryClass::kDipr));
-  EXPECT_TRUE(IndexSupportsFilter(IndexClass::kCoarse));
-  EXPECT_TRUE(IndexSupportsFilter(IndexClass::kFine));
-  EXPECT_TRUE(IndexSupportsFilter(IndexClass::kFlat));
-  EXPECT_FALSE(IndexSupportsQuery(IndexClass::kFine, QueryClass::kFullAttention));
-}
-
 TEST(QueryTypesTest, Names) {
   EXPECT_STREQ(QueryClassName(QueryClass::kTopK), "topk");
   EXPECT_STREQ(QueryClassName(QueryClass::kDipr), "dipr");

@@ -117,20 +117,6 @@ TEST(PlacementPolicyTest, BestFitSpreadsColdTrafficWhenBudgetsUnlimited) {
   EXPECT_EQ(policy.Place(MakeRequest(10), sessions, 0).device, 1);
 }
 
-TEST(PlacementPolicyTest, LeastLoadedSpreadsAcrossIdleFleet) {
-  LeastLoadedPlacement policy;
-  // Unlimited budgets: free bytes tie, so fewer active sessions wins.
-  const DeviceLoad loads[] = {MakeLoad(0, 0, 0, 2), MakeLoad(1, 0, 0, 0),
-                              MakeLoad(2, 0, 0, 1)};
-  EXPECT_EQ(policy.Place(MakeRequest(10), loads, 0).device, 1);
-  // With budgets, most free bytes wins outright.
-  const DeviceLoad budgeted[] = {MakeLoad(0, 100, 80, 1), MakeLoad(1, 100, 20, 3),
-                                 MakeLoad(2, 100, 50, 0)};
-  EXPECT_EQ(policy.Place(MakeRequest(10), budgeted, 0).device, 1);
-  // Affinity still wins when it fits.
-  EXPECT_EQ(policy.Place(MakeRequest(10, 0, /*affinity=*/2), budgeted, 0).device, 2);
-}
-
 // --- Scheduler integration: per-device accounting over the policy. ---
 
 /// Store probe reporting every prompt fully stored, with no affinity.

@@ -128,6 +128,16 @@ void ExpectConcurrentMatchesSequential(size_t pool_workers) {
     ASSERT_EQ(c->outputs.size(), s->outputs.size());
     // Bit-identical: concurrency changes scheduling, never math.
     EXPECT_EQ(c->outputs, s->outputs) << "request " << i;
+    // The per-head stats fold is schedule-independent too, and the sparse
+    // retrieval path is engaged.
+    EXPECT_GT(c->stats.retrieved_tokens, 0u) << "request " << i;
+    EXPECT_EQ(c->stats.retrieved_tokens, s->stats.retrieved_tokens) << "request " << i;
+    EXPECT_EQ(c->stats.attended_tokens, s->stats.attended_tokens) << "request " << i;
+    EXPECT_EQ(c->stats.search.dist_comps, s->stats.search.dist_comps) << "request " << i;
+    EXPECT_EQ(c->stats.search.hops, s->stats.search.hops) << "request " << i;
+    EXPECT_EQ(c->stats.search.appended, s->stats.search.appended) << "request " << i;
+    EXPECT_EQ(c->stats.modeled_gpu_seconds, s->stats.modeled_gpu_seconds)
+        << "request " << i;
   }
 }
 

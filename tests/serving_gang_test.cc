@@ -6,10 +6,9 @@
 // math. Also: smallest-sufficient-gang admission (a subset budget gangs 2,
 // not 4), the kNeverFits gate relaxing to the largest permitted gang's
 // combined budget, >= 3x max servable context from gang 1 to gang 4,
-// cross-device KV migration racing retirement/re-homing, the driver's
-// skew-triggered rebalance probe, suspend-spill of parked KV to disk through
-// the tier store with bit-identical resume (also with two engines parking
-// into one DB), and a TSan-targeted multi-gang stress run.
+// suspend-spill of parked KV to disk through the tier store with
+// bit-identical resume (also with two engines parking into one DB), and a
+// TSan-targeted multi-gang stress run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -272,76 +271,6 @@ TEST(ServingGangTest, MaxServableContextScalesWithGangSize) {
   const double scaling =
       static_cast<double>(max_tokens[3]) / static_cast<double>(max_tokens[0]);
   EXPECT_GE(scaling, 3.0) << max_tokens[0] << " -> " << max_tokens[3] << " tokens";
-}
-
-TEST(ServingGangTest, MigrateShardSemanticsAndRaces) {
-  GangFixture fx(/*num_tenants=*/2);
-  SimEnvironment& env = fx.env;
-  env.devices().EnsureAtLeast(3);
-  const uint64_t id = fx.context_ids[0];
-
-  // Happy path: residency moves, the DESTINATION clock pays the modeled
-  // window transfer, and the byte count matches the cross-device reuse
-  // formula exactly.
-  const double before = env.device(1).clock().Seconds();
-  auto moved = fx.db->MigrateShard(id, /*from=*/0, /*to=*/1);
-  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
-  const WindowCache window(fx.options.session.window);
-  const size_t window_tokens =
-      std::min(window.Size(fx.context_tokens), fx.context_tokens);
-  EXPECT_EQ(moved.value(), window_tokens * fx.model.KvBytesPerToken());
-  EXPECT_GT(env.device(1).clock().Seconds(), before);
-  EXPECT_EQ(fx.db->contexts().FindShared(id)->resident_device(), 1);
-
-  // Stale plan (migration racing a session re-homing the context): the
-  // context is no longer resident on `from`, so the move must refuse instead
-  // of teleporting KV the planner mislocated.
-  auto stale = fx.db->MigrateShard(id, /*from=*/0, /*to=*/2);
-  ASSERT_FALSE(stale.ok());
-  EXPECT_EQ(stale.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(fx.db->contexts().FindShared(id)->resident_device(), 1);
-
-  // Degenerate move.
-  auto self = fx.db->MigrateShard(id, 1, 1);
-  ASSERT_FALSE(self.ok());
-  EXPECT_EQ(self.status().code(), StatusCode::kInvalidArgument);
-
-  // Migration racing retirement: the context was removed from the store
-  // between planning and execution — typed kNotFound, nothing charged.
-  const uint64_t gone = fx.context_ids[1];
-  ASSERT_TRUE(fx.db->contexts().Remove(gone));
-  const double clock2 = env.device(2).clock().Seconds();
-  auto removed = fx.db->MigrateShard(gone, 0, 2);
-  ASSERT_FALSE(removed.ok());
-  EXPECT_EQ(removed.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(env.device(2).clock().Seconds(), clock2);
-}
-
-TEST(ServingGangTest, RebalanceProbeShedsWarmShardOffHotDevice) {
-  constexpr size_t kSteps = 6;
-  // Two contexts warm on device 0; a decode pinned to device 0 makes it hot
-  // while device 1 idles. The step-boundary probe must migrate the OTHER
-  // (unpinned) context to the cold device — exactly once — and leave the
-  // running session's own context alone.
-  GangFixture fx(/*num_tenants=*/2);
-  ServingEngineOptions opts = fx.EngineOptions(1, 2);
-  opts.rebalance_skew_factor = 1.5;
-  ServingEngine engine(fx.db.get(), opts);
-  const RequestResult* r = RunOne(&engine, fx.MakeRequest(0, 41, kSteps));
-  ASSERT_NE(r, nullptr);
-  ASSERT_TRUE(r->status.ok()) << r->status.ToString();
-
-  const ServingSnapshot snap = engine.snapshot();
-  EXPECT_EQ(snap.shard_migrations, 1u);
-  const WindowCache window(fx.options.session.window);
-  const size_t window_tokens =
-      std::min(window.Size(fx.context_tokens), fx.context_tokens);
-  EXPECT_EQ(snap.shard_migrated_bytes,
-            window_tokens * fx.model.KvBytesPerToken());
-  // The bystander context moved to the cold device; the session's own
-  // context stayed where its session ran.
-  EXPECT_EQ(fx.db->contexts().FindShared(fx.context_ids[1])->resident_device(), 1);
-  EXPECT_EQ(fx.db->contexts().FindShared(fx.context_ids[0])->resident_device(), 0);
 }
 
 TEST(ServingGangTest, SuspendSpillToDiskResumesBitIdentical) {

@@ -311,6 +311,66 @@ TEST(ServingPreemptTest, DeadlineExpiryWhileSuspendedIsSwept) {
   EXPECT_EQ(engine.snapshot().deadline_exceeded, 1u);
 }
 
+// A resume entry that placement rejects as never-fits must finalize through
+// its parked state: the parked KV's host reservation returns, and the result
+// keeps the request's progress (its preemption, prefilled tokens and steps).
+// The Submit-time probe over-reports reuse (as when the matched context is
+// removed before admission), so the low request is admitted on a small
+// estimate; its real 120-token uncovered suffix makes the resumed footprint
+// exceed the device budget.
+TEST(ServingPreemptTest, NeverFitsResumeFreesParkedKv) {
+  constexpr size_t kSuffix = 120;
+  constexpr size_t kSteps = 32;
+  PreemptFixture fx;
+  const uint64_t host_baseline = fx.env.host_memory().current();
+  ServingEngineOptions opts = fx.EngineOptions(1);
+  opts.scheduler.gpu_budget_bytes = 64 * fx.model.KvBytesPerToken();
+  opts.scheduler.placement_probe = [](std::span<const int32_t> tokens) {
+    return RequestSchedulerOptions::PrefixProbeResult{tokens.size()};
+  };
+  ServingEngine engine(fx.db.get(), opts);
+  ASSERT_TRUE(engine.Start().ok());
+
+  // The low request holds its first token until the high one is queued, so
+  // the preemption lands mid-decode.
+  std::latch low_started(1);
+  std::latch high_queued(1);
+  ServingRequest low = fx.MakeRequest(600, kSteps, kSuffix);
+  low.priority = 0;
+  low.on_token = [&](size_t step, std::span<const float>) {
+    if (step == 0) {
+      low_started.count_down();
+      high_queued.wait();
+    }
+  };
+  auto low_h = engine.Submit(std::move(low));
+  ASSERT_TRUE(low_h.ok());
+  low_started.wait();
+
+  ServingRequest high = fx.MakeRequest(601, /*steps=*/4);
+  high.priority = 1;
+  auto high_h = engine.Submit(std::move(high));
+  high_queued.count_down();
+  ASSERT_TRUE(high_h.ok());
+
+  const RequestResult* lr = low_h.value().Wait();
+  ASSERT_NE(lr, nullptr);
+  EXPECT_EQ(lr->status.code(), StatusCode::kNeverFits) << lr->status.ToString();
+  EXPECT_EQ(lr->preemptions, 1u);
+  EXPECT_EQ(lr->resumes, 0u);
+  EXPECT_EQ(lr->prefilled_tokens, kSuffix);
+  EXPECT_GE(lr->steps_completed, 1u);
+
+  const RequestResult* hr = high_h.value().Wait();
+  ASSERT_NE(hr, nullptr);
+  EXPECT_TRUE(hr->status.ok()) << hr->status.ToString();
+  engine.WaitIdle();
+  ASSERT_TRUE(engine.Shutdown().ok());
+  EXPECT_EQ(engine.scheduler().active(), 0u);
+  EXPECT_EQ(engine.scheduler().queued(), 0u);
+  EXPECT_EQ(fx.env.host_memory().current(), host_baseline);
+}
+
 // Suspension racing retirement: victims picked from a stale running view may
 // already be terminal when the suspension lands — they must retire normally
 // (never strand in suspended_), and every other request must still reach a

@@ -349,13 +349,15 @@ TEST(BatchedPrefillTest, BatchAppendsKvAndRecordsQueriesPerSession) {
   };
 
   ThreadPool pool(2);
-  std::vector<SessionPrefillJob> jobs{
-      {&s1, /*first_token=*/0, kCount1, fill, q1.data(), k1.data(), v1.data()},
-      {&s2, /*first_token=*/100, kCount2, fill, q2.data(), k2.data(), v2.data()},
-  };
-  std::vector<Status> per_job;
-  ASSERT_TRUE(ExecutePrefillJobs(jobs, &pool, &per_job).ok());
-  ASSERT_EQ(per_job.size(), 2u);
+  std::vector<Status> per_job(2, Status::Internal("not run"));
+  {
+    PrefillWave wave;
+    wave.Launch({&s1, /*first_token=*/0, kCount1, fill, q1.data(), k1.data(), v1.data()},
+                &per_job[0], &pool);
+    wave.Launch({&s2, /*first_token=*/100, kCount2, fill, q2.data(), k2.data(), v2.data()},
+                &per_job[1], &pool);
+    wave.Wait();
+  }
   EXPECT_TRUE(per_job[0].ok()) << per_job[0].ToString();
   EXPECT_TRUE(per_job[1].ok()) << per_job[1].ToString();
 
@@ -392,19 +394,18 @@ TEST(BatchedPrefillTest, JobFailureIsIsolatedPerSession) {
     FillPromptToken(model, token, layer, qq, kk, vv);
   };
 
-  std::vector<SessionPrefillJob> jobs{
-      {&good, 0, 4, fill, q.data(), k.data(), v.data()},
-      {&bad, 0, 4, fill, nullptr, nullptr, nullptr},  // Missing scratch.
-  };
-  std::vector<Status> per_job;
-  ASSERT_TRUE(ExecutePrefillJobs(jobs, nullptr, &per_job).ok());
+  std::vector<Status> per_job(2, Status::Internal("not run"));
+  {
+    PrefillWave wave;
+    wave.Launch({&good, 0, 4, fill, q.data(), k.data(), v.data()}, &per_job[0]);
+    wave.Launch({&bad, 0, 4, fill, nullptr, nullptr, nullptr},  // Missing scratch.
+                &per_job[1]);
+    wave.Wait();
+  }
   EXPECT_TRUE(per_job[0].ok());
   EXPECT_EQ(per_job[1].code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(good.LocalTokens(), 4u);
   EXPECT_EQ(bad.LocalTokens(), 0u);
-
-  // Without per_job isolation the first error surfaces directly.
-  EXPECT_EQ(ExecutePrefillJobs(jobs).code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

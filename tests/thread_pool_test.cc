@@ -55,15 +55,6 @@ TEST(ThreadPoolTest, ParallelForComputesCorrectSum) {
   EXPECT_EQ(sum, uint64_t(n) * (n - 1));
 }
 
-TEST(ThreadPoolTest, ParallelForChunkedCoversRange) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(777);
-  pool.ParallelForChunked(0, 777, 10, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-  });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST(ThreadPoolTest, NestedSubmitFromTask) {
   ThreadPool pool(4);
   std::atomic<int> count{0};
@@ -89,20 +80,6 @@ TEST(ThreadPoolTest, NestedParallelForFromTasks) {
   }
   pool.Wait();
   EXPECT_EQ(total.load(), 800);
-}
-
-TEST(ThreadPoolTest, NestedParallelForChunkedFromTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> total{0};
-  for (int t = 0; t < 8; ++t) {
-    pool.Submit([&] {
-      pool.ParallelForChunked(0, 90, 6, [&](size_t lo, size_t hi) {
-        total.fetch_add(static_cast<int>(hi - lo));
-      });
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(total.load(), 720);
 }
 
 TEST(ThreadPoolTest, OneWorkerPoolSharesRangeWithCaller) {
