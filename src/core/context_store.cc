@@ -1,8 +1,57 @@
 #include "src/core/context_store.h"
 
 #include <algorithm>
+#include <utility>
+
+#include "src/common/timer.h"
 
 namespace alaya {
+
+namespace {
+
+/// Total length of the union of [begin, end) spans.
+double UnionSeconds(std::vector<std::pair<double, double>> spans) {
+  std::sort(spans.begin(), spans.end());
+  double total = 0, covered_to = 0;
+  for (auto [begin, end] : spans) {
+    begin = std::max(begin, covered_to);
+    if (end <= begin) continue;
+    total += end - begin;
+    covered_to = end;
+  }
+  return total;
+}
+
+/// Folds the stats of layers built concurrently. `layer_end[l]` is when layer
+/// l's build returned, on a clock started before any layer. Each layer ran
+/// its stage (i) and then its projection as back-to-back spans ending there,
+/// so those spans are recovered from its wall fields; the folded wall fields
+/// are then the union of the layers' stage (i) spans and the further union of
+/// their projection spans (see IndexBuildStats).
+IndexBuildStats FoldConcurrentLayers(const std::vector<IndexBuildStats>& layers,
+                                     const std::vector<double>& layer_end,
+                                     bool gpu_knn) {
+  IndexBuildStats total;
+  std::vector<std::pair<double, double>> knn, all;
+  for (size_t l = 0; l < layers.size(); ++l) {
+    total.Accumulate(layers[l]);
+    const double project_begin = layer_end[l] - layers[l].project_wall_seconds;
+    const double knn_begin = project_begin - layers[l].knn_wall_seconds;
+    knn.emplace_back(knn_begin, project_begin);
+    all.emplace_back(knn_begin, layer_end[l]);
+  }
+  const double knn_wall = UnionSeconds(knn);
+  const double project_wall = UnionSeconds(all) - knn_wall;
+  // Each layer's reported_seconds counted its own host stage walls; replace
+  // their sums with the folded walls.
+  total.reported_seconds += project_wall - total.project_wall_seconds;
+  if (!gpu_knn) total.reported_seconds += knn_wall - total.knn_wall_seconds;
+  total.knn_wall_seconds = knn_wall;
+  total.project_wall_seconds = project_wall;
+  return total;
+}
+
+}  // namespace
 
 Status Context::BuildFineIndices(const IndexBuildOptions& options,
                                  const QuerySamples* queries,
@@ -12,7 +61,6 @@ Status Context::BuildFineIndices(const IndexBuildOptions& options,
   fine_.clear();
   fine_shared_ = options.share_gqa_group;
   fine_restored_ = false;
-  IndexBuildStats total;
 
   // Extend-from-base: reuse the base context's per-head graphs for the shared
   // prefix and insert only the suffix vectors. Sound whenever the first
@@ -27,30 +75,10 @@ Status Context::BuildFineIndices(const IndexBuildOptions& options,
       base_prefix <= base->length() && base_prefix <= kv_->NumTokens() &&
       base->fine_.size() ==
           static_cast<size_t>(cfg.num_layers) * cfg.num_kv_heads;
-  if (can_extend) {
-    for (uint32_t layer = 0; layer < cfg.num_layers; ++layer) {
-      std::vector<VectorSetView> head_keys;
-      std::vector<const RoarGraph*> base_indices;
-      for (uint32_t h = 0; h < cfg.num_kv_heads; ++h) {
-        head_keys.push_back(kv_->Keys(layer, h));
-        base_indices.push_back(
-            base->fine_[static_cast<size_t>(layer) * cfg.num_kv_heads + h].get());
-      }
-      std::vector<std::unique_ptr<RoarGraph>> layer_indices;
-      IndexBuildStats stats;
-      ALAYA_RETURN_IF_ERROR(ExtendLayerIndices(head_keys, base_indices, base_prefix,
-                                               options, &layer_indices, &stats));
-      total.Accumulate(stats);
-      for (auto& idx : layer_indices) fine_.push_back(std::move(idx));
-    }
-    build_stats_ = total;
-    if (total_stats != nullptr) *total_stats = total;
-    return Status::Ok();
-  }
 
   // Keys trained on themselves when no prefill queries were recorded.
   std::unique_ptr<QuerySamples> self_train;
-  if (queries == nullptr) {
+  if (!can_extend && queries == nullptr) {
     self_train = std::make_unique<QuerySamples>(cfg);
     for (uint32_t layer = 0; layer < cfg.num_layers; ++layer) {
       for (uint32_t h = 0; h < cfg.num_q_heads; ++h) {
@@ -63,24 +91,44 @@ Status Context::BuildFineIndices(const IndexBuildOptions& options,
     queries = self_train.get();
   }
 
-  for (uint32_t layer = 0; layer < cfg.num_layers; ++layer) {
+  // Layers are independent (each samples its training queries from its own
+  // Rng(options.seed)), so they build concurrently on the index-build pool;
+  // the CPU baseline builds them one after another.
+  const size_t num_layers = cfg.num_layers;
+  std::vector<std::vector<std::unique_ptr<RoarGraph>>> layer_indices(num_layers);
+  std::vector<IndexBuildStats> layer_stats(num_layers);
+  std::vector<Status> statuses(num_layers, Status::Ok());
+  std::vector<double> layer_end(num_layers, 0.0);
+  WallTimer clock;
+  ForEachBuildUnit(options, num_layers, [&](size_t l) {
+    const uint32_t layer = static_cast<uint32_t>(l);
     std::vector<VectorSetView> head_keys;
     for (uint32_t h = 0; h < cfg.num_kv_heads; ++h) {
       head_keys.push_back(kv_->Keys(layer, h));
     }
-    std::vector<VectorSetView> head_queries;
-    for (uint32_t h = 0; h < cfg.num_q_heads; ++h) {
-      head_queries.push_back(queries->View(layer, h));
+    if (can_extend) {
+      std::vector<const RoarGraph*> base_indices;
+      for (uint32_t h = 0; h < cfg.num_kv_heads; ++h) {
+        base_indices.push_back(base->fine_[l * cfg.num_kv_heads + h].get());
+      }
+      statuses[l] = ExtendLayerIndices(head_keys, base_indices, base_prefix, options,
+                                       &layer_indices[l], &layer_stats[l]);
+    } else {
+      std::vector<VectorSetView> head_queries;
+      for (uint32_t h = 0; h < cfg.num_q_heads; ++h) {
+        head_queries.push_back(queries->View(layer, h));
+      }
+      statuses[l] = BuildLayerIndices(head_keys, head_queries, cfg.GroupSize(), options,
+                                      &layer_indices[l], &layer_stats[l]);
     }
-    std::vector<std::unique_ptr<RoarGraph>> layer_indices;
-    IndexBuildStats stats;
-    ALAYA_RETURN_IF_ERROR(BuildLayerIndices(head_keys, head_queries, cfg.GroupSize(),
-                                            options, &layer_indices, &stats));
-    total.Accumulate(stats);
-    for (auto& idx : layer_indices) fine_.push_back(std::move(idx));
+    layer_end[l] = clock.ElapsedSeconds();
+  });
+  for (size_t l = 0; l < num_layers; ++l) {
+    ALAYA_RETURN_IF_ERROR(statuses[l]);
+    for (auto& idx : layer_indices[l]) fine_.push_back(std::move(idx));
   }
-  build_stats_ = total;
-  if (total_stats != nullptr) *total_stats = total;
+  build_stats_ = FoldConcurrentLayers(layer_stats, layer_end, options.use_sim_gpu_knn);
+  if (total_stats != nullptr) *total_stats = build_stats_;
   return Status::Ok();
 }
 

@@ -178,7 +178,9 @@ class TieredContextStore {
     /// DecayedHitsLocked — the raw value is stale by (tick_ - hits_tick).
     double hits = 0;
     uint64_t hits_tick = 0;
-    double rebuild_seconds = 0;  ///< Modeled index build cost (build_stats).
+    /// Index build cost, build_stats().reported_seconds: host wall time of the
+    /// whole (concurrent) build's CPU stages plus the modeled GPU kNN time.
+    double rebuild_seconds = 0;
     uint64_t kv_bytes = 0;
     bool persisted = false;  ///< On disk already; spill skips the write.
   };

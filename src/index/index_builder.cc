@@ -16,6 +16,16 @@ VectorSet SampleQueries(VectorSetView queries, size_t count, Rng* rng) {
   return out;
 }
 
+void ForEachBuildUnit(const IndexBuildOptions& options, size_t n,
+                      const std::function<void(size_t)>& fn) {
+  if (options.sequential_cpu_baseline) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  ThreadPool* pool = options.pool != nullptr ? options.pool : &ThreadPool::Global();
+  pool->ParallelFor(0, n, fn);
+}
+
 Status BuildLayerIndices(const std::vector<VectorSetView>& head_keys,
                          const std::vector<VectorSetView>& head_queries,
                          uint32_t gqa_group_size, const IndexBuildOptions& options,
@@ -113,15 +123,24 @@ Status BuildLayerIndices(const std::vector<VectorSetView>& head_keys,
   }
 
   // Stages (2)+(3): projection + connectivity enhancement, always on host.
+  // Units are independent graphs, so each builds as one task on the build
+  // pool (its pruning fans out further on the same pool); connectivity is a
+  // sequential pass per graph, so this is where the units' overlap pays.
+  // Results are collected in unit order.
   WallTimer project_timer;
-  for (size_t u = 0; u < units.size(); ++u) {
+  std::vector<std::unique_ptr<RoarGraph>> built(units.size());
+  std::vector<Status> statuses(units.size(), Status::Ok());
+  ForEachBuildUnit(options, units.size(), [&](size_t u) {
     RoarGraphOptions ropts = options.roar;
     ropts.sequential = options.sequential_cpu_baseline;
     ropts.pool = options.pool;
-    auto index = std::make_unique<RoarGraph>(units[u].keys, ropts);
-    ALAYA_RETURN_IF_ERROR(index->BuildFromBipartite(knn_lists[u]));
-    local_stats.index_bytes += index->MemoryBytes();
-    out->push_back(std::move(index));
+    built[u] = std::make_unique<RoarGraph>(units[u].keys, ropts);
+    statuses[u] = built[u]->BuildFromBipartite(knn_lists[u]);
+  });
+  for (size_t u = 0; u < units.size(); ++u) {
+    ALAYA_RETURN_IF_ERROR(statuses[u]);
+    local_stats.index_bytes += built[u]->MemoryBytes();
+    out->push_back(std::move(built[u]));
   }
   local_stats.project_wall_seconds = project_timer.ElapsedSeconds();
   local_stats.reported_seconds += local_stats.project_wall_seconds;
@@ -159,12 +178,7 @@ Status ExtendLayerIndices(const std::vector<VectorSetView>& head_keys,
     statuses[h] = index->ExtendFromBase(*base_indices[h], base_tokens);
     built[h] = std::move(index);
   };
-  if (options.sequential_cpu_baseline) {
-    for (size_t h = 0; h < h_kv; ++h) extend_one(h);
-  } else {
-    ThreadPool* pool = options.pool != nullptr ? options.pool : &ThreadPool::Global();
-    pool->ParallelFor(0, h_kv, extend_one);
-  }
+  ForEachBuildUnit(options, h_kv, extend_one);
 
   for (size_t h = 0; h < h_kv; ++h) {
     ALAYA_RETURN_IF_ERROR(statuses[h]);

@@ -6,8 +6,16 @@
 //     (executed on host threads, charged with modeled device time);
 //   - layer pipeline: CPU->GPU transfer of layer l+1 overlaps with kNN compute
 //     of layer l.
+// Build units — one graph per (layer, KV head), or per query head unshared —
+// are independent, so outside the CPU baseline they build concurrently on the
+// index-build pool: BuildLayerIndices connects a layer's units in one
+// ParallelFor, and Context::BuildFineIndices runs its layers in another.
+// Every unit's result is a function of its inputs alone (each layer samples
+// its training queries from its own Rng(seed) before its units start), so the
+// graphs are bit-identical to a sequential build.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -31,12 +39,23 @@ struct IndexBuildOptions {
   /// hardware-relative because our host differs from the authors'.
   double gpu_speedup_vs_host = 8.0;
   /// The CPU-baseline mode builds indices sequentially (RetrievalAttention
-  /// builds one index per query head on CPU).
+  /// builds one index per query head on CPU): one unit, one layer and one
+  /// query at a time, never on the pool.
   bool sequential_cpu_baseline = false;
   ThreadPool* pool = nullptr;
   uint64_t seed = 7;
 };
 
+/// Build accounting. Two clocks: the *_wall_seconds fields are host wall
+/// time, the modeled_* fields are charged device time.
+///
+/// The wall fields cover the whole build, not a sum over its parts: units and
+/// layers that build concurrently are counted once. For Context::build_stats()
+/// knn_wall_seconds is the time during which any layer was in stage (i), and
+/// project_wall_seconds the further time during which any layer was
+/// projecting, connecting or extending. Their sum never exceeds the build's
+/// wall time. reported_seconds (which the tier store's victim ranking reads as
+/// rebuild_seconds) uses the same host figures.
 struct IndexBuildStats {
   double knn_wall_seconds = 0;       ///< Host wall time spent in stage (i).
   double project_wall_seconds = 0;   ///< Projection + connectivity time.
@@ -57,7 +76,8 @@ struct IndexBuildStats {
   size_t reused_base_nodes = 0;
   size_t inserted_suffix_nodes = 0;
 
-  /// Folds another (e.g. per-layer) stats block into this one.
+  /// Folds another stats block into this one, summing every field (wall
+  /// times too: right only for builds that ran one after another).
   void Accumulate(const IndexBuildStats& o) {
     knn_wall_seconds += o.knn_wall_seconds;
     project_wall_seconds += o.project_wall_seconds;
@@ -102,6 +122,13 @@ Status ExtendLayerIndices(const std::vector<VectorSetView>& head_keys,
                           size_t base_tokens, const IndexBuildOptions& options,
                           std::vector<std::unique_ptr<RoarGraph>>* out,
                           IndexBuildStats* stats);
+
+/// Runs fn(i) for i in [0, n): one at a time in the CPU-baseline mode, else as
+/// one ParallelFor on options.pool (nullptr -> ThreadPool::Global()). The
+/// fan-out every multi-unit build step uses; nested calls are safe because
+/// ParallelFor's caller works its own range.
+void ForEachBuildUnit(const IndexBuildOptions& options, size_t n,
+                      const std::function<void(size_t)>& fn);
 
 /// Samples `count` query vectors (rows) from `queries` into a new VectorSet.
 VectorSet SampleQueries(VectorSetView queries, size_t count, Rng* rng);

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/timer.h"
+#include "src/core/alaya_db.h"
 #include "tests/test_util.h"
 
 namespace alaya {
 namespace {
+
+using testutil::ExpectGraphsIdentical;
 
 struct LayerFixture {
   std::vector<VectorSet> keys;     // Per KV head.
@@ -114,6 +118,177 @@ TEST(IndexBuilderTest, MismatchedHeadCountsRejected) {
   EXPECT_TRUE(
       BuildLayerIndices(fx.key_views, fx.query_views, 0, opts, &out, nullptr)
           .IsInvalidArgument());
+}
+
+TEST(IndexBuilderTest, ConcurrentUnitsMatchSequentialBaseline) {
+  LayerFixture fx(2, 4, 500, 16, 9);
+  ThreadPool pool(4);
+  for (const bool share : {true, false}) {
+    IndexBuildOptions concurrent;
+    concurrent.share_gqa_group = share;
+    concurrent.pool = &pool;
+    IndexBuildOptions sequential = concurrent;
+    sequential.sequential_cpu_baseline = true;
+    std::vector<std::unique_ptr<RoarGraph>> a, b;
+    IndexBuildStats sa, sb;
+    ASSERT_TRUE(BuildLayerIndices(fx.key_views, fx.query_views, 4, concurrent, &a, &sa).ok());
+    ASSERT_TRUE(BuildLayerIndices(fx.key_views, fx.query_views, 4, sequential, &b, &sb).ok());
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t u = 0; u < a.size(); ++u) {
+      SCOPED_TRACE(testing::Message() << "share " << share << " unit " << u);
+      ExpectGraphsIdentical(*a[u], *b[u]);
+    }
+    EXPECT_EQ(sa.index_bytes, sb.index_bytes);
+    EXPECT_EQ(sa.training_queries, sb.training_queries);
+  }
+}
+
+// --- Whole-context builds through AlayaDB: Import (scratch build, layers and
+// --- units concurrent) and StoreAsync materialization (extend-from-base).
+
+/// One DB over the 2-layer GQA Tiny model whose index build either runs on an
+/// explicit 4-worker pool or is the fully sequential CPU baseline.
+struct ContextBuildFixture {
+  ModelConfig model = ModelConfig::Tiny();
+  static constexpr size_t kTokens = 600;
+  ThreadPool pool{4};
+  SimEnvironment env;
+  std::unique_ptr<AlayaDB> db;
+  uint64_t context_id = 0;
+
+  explicit ContextBuildFixture(bool sequential) {
+    DbOptions o;
+    o.model = model;
+    o.session.optimizer.short_context_threshold = 64;
+    o.session.window = WindowConfig{8, 16};
+    o.materialize_pool = &pool;
+    o.index_build.pool = &pool;
+    o.index_build.sequential_cpu_baseline = sequential;
+    db = std::make_unique<AlayaDB>(o, &env);
+  }
+
+  std::vector<int32_t> Tokens() const {
+    std::vector<int32_t> t(kTokens);
+    for (size_t i = 0; i < kTokens; ++i) t[i] = 100 + static_cast<int32_t>(i);
+    return t;
+  }
+
+  /// Imports the fixed-seed context with prefill query samples to train on.
+  void Import() {
+    auto kv = std::make_unique<KvCache>(model);
+    Rng rng(31);
+    const size_t stride = static_cast<size_t>(model.num_kv_heads) * model.head_dim;
+    std::vector<float> k(stride), v(stride);
+    QuerySamples queries(model);
+    std::vector<float> q(static_cast<size_t>(model.num_q_heads) * model.head_dim);
+    for (uint32_t layer = 0; layer < model.num_layers; ++layer) {
+      for (size_t t = 0; t < kTokens; ++t) {
+        rng.FillGaussian(k.data(), stride);
+        rng.FillGaussian(v.data(), stride);
+        kv->AppendToken(layer, k.data(), v.data());
+        if (t % 2 == 0) {
+          rng.FillGaussian(q.data(), q.size());
+          queries.Record(layer, q.data());
+        }
+      }
+    }
+    auto id = db->Import(Tokens(), std::move(kv), &queries);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    context_id = id.value();
+  }
+
+  const Context& Find(uint64_t id) const {
+    const Context* ctx = db->contexts().FindUnsafeForTest(id);
+    EXPECT_NE(ctx, nullptr);
+    return *ctx;
+  }
+};
+
+/// Every (layer, KV-head) graph of `a` and `b` is node-for-node identical.
+void ExpectContextGraphsIdentical(const ModelConfig& model, const Context& a,
+                                  const Context& b) {
+  for (uint32_t layer = 0; layer < model.num_layers; ++layer) {
+    for (uint32_t kv = 0; kv < model.num_kv_heads; ++kv) {
+      SCOPED_TRACE(testing::Message() << "layer " << layer << " kv head " << kv);
+      const RoarGraph* ga = a.FineIndex(layer, kv * model.GroupSize());
+      const RoarGraph* gb = b.FineIndex(layer, kv * model.GroupSize());
+      ASSERT_NE(ga, nullptr);
+      ASSERT_NE(gb, nullptr);
+      ExpectGraphsIdentical(*ga, *gb);
+    }
+  }
+}
+
+TEST(IndexBuilderTest, ConcurrentImportMatchesSequentialGraphs) {
+  ContextBuildFixture concurrent(false), sequential(true);
+  concurrent.Import();
+  sequential.Import();
+  const Context& a = concurrent.Find(concurrent.context_id);
+  const Context& b = sequential.Find(sequential.context_id);
+  EXPECT_EQ(a.build_stats().num_indices, 4u);
+  EXPECT_EQ(a.build_stats().training_queries, b.build_stats().training_queries);
+  ExpectContextGraphsIdentical(concurrent.model, a, b);
+}
+
+TEST(IndexBuilderTest, ConcurrentExtendMatchesSequentialGraphs) {
+  constexpr size_t kSteps = 6;
+  ContextBuildFixture concurrent(false), sequential(true);
+  std::vector<std::vector<float>> outputs;
+  std::vector<uint64_t> stored_ids;
+  for (ContextBuildFixture* fx : {&concurrent, &sequential}) {
+    fx->Import();
+    const ModelConfig& m = fx->model;
+    auto created = fx->db->CreateSession(fx->Tokens());
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    ASSERT_EQ(created.value().reused_prefix, ContextBuildFixture::kTokens);
+    Session* session = created.value().session.get();
+    std::vector<float> q(static_cast<size_t>(m.num_q_heads) * m.head_dim);
+    std::vector<float> k(static_cast<size_t>(m.num_kv_heads) * m.head_dim), v(k.size());
+    std::vector<float> out(q.size()), all_out;
+    std::vector<int32_t> new_tokens;
+    for (size_t step = 0; step < kSteps; ++step) {
+      for (uint32_t layer = 0; layer < m.num_layers; ++layer) {
+        Rng rng(1000 + step * 131 + layer);
+        rng.FillGaussian(q.data(), q.size());
+        rng.FillGaussian(k.data(), k.size());
+        rng.FillGaussian(v.data(), v.size());
+        ASSERT_TRUE(session->Update(layer, q.data(), k.data(), v.data()).ok());
+        ASSERT_TRUE(session->Attention(layer, q.data(), out.data()).ok());
+        all_out.insert(all_out.end(), out.begin(), out.end());
+      }
+      new_tokens.push_back(5000 + static_cast<int32_t>(step));
+    }
+    outputs.push_back(std::move(all_out));
+    auto stored = fx->db->StoreAsync(session, new_tokens, created.value().context_ref);
+    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+    ASSERT_TRUE(fx->db->Drain().ok());
+    stored_ids.push_back(stored.value());
+  }
+  // Decoding searched graphs built both ways: the outputs are bit-identical.
+  EXPECT_EQ(outputs[0], outputs[1]);
+
+  const Context& a = concurrent.Find(stored_ids[0]);
+  const Context& b = sequential.Find(stored_ids[1]);
+  const size_t units = static_cast<size_t>(concurrent.model.num_layers) *
+                       concurrent.model.num_kv_heads;
+  // Both took the extend path (suffix inserted into the base's graphs).
+  EXPECT_EQ(a.build_stats().extended_indices, units);
+  EXPECT_EQ(b.build_stats().extended_indices, units);
+  EXPECT_EQ(a.length(), ContextBuildFixture::kTokens + kSteps);
+  ExpectContextGraphsIdentical(concurrent.model, a, b);
+}
+
+TEST(IndexBuilderTest, ImportStageWallTimesFitInsideImportWall) {
+  // Layers and units overlap, so per-layer stage times summed would exceed
+  // the wall time; build_stats() reports each stage once across the build.
+  ContextBuildFixture fx(false);
+  WallTimer timer;
+  fx.Import();
+  const double import_wall = timer.ElapsedSeconds();
+  const IndexBuildStats& stats = fx.Find(fx.context_id).build_stats();
+  EXPECT_GT(stats.knn_wall_seconds, 0.0);
+  EXPECT_GT(stats.project_wall_seconds, 0.0);
+  EXPECT_LE(stats.knn_wall_seconds + stats.project_wall_seconds, import_wall);
 }
 
 TEST(IndexBuilderTest, SampleQueriesRespectsCount) {

@@ -2,10 +2,13 @@
 // ground-truth critical set is known by construction.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/vec_math.h"
+#include "src/index/roargraph.h"
 #include "src/index/vector_set.h"
 
 namespace alaya {
@@ -101,6 +104,18 @@ inline VectorSet MakeTrainingQueries(const PlantedMips& data, size_t count,
     out.Append(q.data());
   }
   return out;
+}
+
+/// Asserts two graphs are node-for-node identical (adjacency and entry).
+inline void ExpectGraphsIdentical(const RoarGraph& a, const RoarGraph& b) {
+  ASSERT_EQ(a.graph().size(), b.graph().size());
+  for (uint32_t u = 0; u < a.graph().size(); ++u) {
+    auto na = a.graph().Neighbors(u);
+    auto nb = b.graph().Neighbors(u);
+    ASSERT_EQ(na.size(), nb.size()) << "node " << u;
+    for (size_t i = 0; i < na.size(); ++i) EXPECT_EQ(na[i], nb[i]) << "node " << u;
+  }
+  EXPECT_EQ(a.EntryPoint(nullptr), b.EntryPoint(nullptr));
 }
 
 }  // namespace testutil
