@@ -45,11 +45,11 @@ void WindowHintAblation() {
         other_topic[entry_rng.UniformInt(other_topic.size())];
     SearchResult plain =
         DiprsSearch(graph.graph(), graph.vectors(), entry, q.data(), params);
-    DiprsHints hints;
-    hints.prior_best_ip =
+    DiprParams hinted_params = params;
+    hinted_params.prior_best_ip =
         window.MaxWindowInnerProduct(q.data(), ctx.kv().Keys(0, 0), ctx.num_tokens());
     SearchResult hinted =
-        DiprsSearch(graph.graph(), graph.vectors(), entry, q.data(), params, hints);
+        DiprsSearch(graph.graph(), graph.vectors(), entry, q.data(), hinted_params);
     appended_plain += plain.stats.appended;
     appended_hinted += hinted.stats.appended;
     comps_plain += plain.stats.dist_comps;

@@ -58,7 +58,7 @@ void Run() {
       SearchResult res;
       DiprParams params;
       params.beta = beta;
-      Status st = flat.SearchDipr(q.data(), params, &res);
+      Status st = flat.SearchDipr(q.data(), params, IdFilter{}, &res);
       if (!st.ok()) std::abort();
 
       std::printf("%-6u %-6u %12zu %12zu %12.2f\n", layer, h, recov,

@@ -188,7 +188,7 @@ void BM_GraphTopK(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
   SearchResult res;
   for (auto _ : state) {
-    if (!fx.graph.SearchTopK(fx.data.query.data(), TopKParams{k, 0}, &res).ok()) {
+    if (!fx.graph.SearchTopK(fx.data.query.data(), TopKParams{k, 0}, IdFilter{}, &res).ok()) {
       std::abort();
     }
     benchmark::DoNotOptimize(res.hits.data());
@@ -203,8 +203,7 @@ void BM_Diprs(benchmark::State& state) {
   params.l0 = 128;
   for (auto _ : state) {
     SearchResult res =
-        DiprsSearch(fx.graph.graph(), fx.data.keys.View(),
-                    fx.graph.EntryPoint(fx.data.query.data()),
+        DiprsSearch(fx.graph.graph(), fx.data.keys.View(), fx.graph.entry_point(),
                     fx.data.query.data(), params);
     benchmark::DoNotOptimize(res.hits.data());
   }
@@ -218,7 +217,7 @@ void BM_FlatDipr(benchmark::State& state) {
   params.beta = 11.f;
   SearchResult res;
   for (auto _ : state) {
-    if (!flat.SearchDipr(fx.data.query.data(), params, &res).ok()) std::abort();
+    if (!flat.SearchDipr(fx.data.query.data(), params, IdFilter{}, &res).ok()) std::abort();
     benchmark::DoNotOptimize(res.hits.data());
   }
 }

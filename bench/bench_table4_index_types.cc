@@ -20,7 +20,7 @@ double MeasureTopK(const VectorIndex& index, const SyntheticContext& ctx, size_t
     ctx.MakeDecodeQuery(step, 0, 0, q.data());
     timer.Start();
     TopKParams params{k, std::max<size_t>(k, 64)};
-    if (!index.SearchTopK(q.data(), params, &res).ok()) std::abort();
+    if (!index.SearchTopK(q.data(), params, IdFilter{}, &res).ok()) std::abort();
     timer.Stop();
   }
   return timer.TotalMillis() / static_cast<double>(queries);

@@ -42,9 +42,9 @@ bool RunQuantRecallGate() {
   for (uint32_t qi = 0; qi < kQueries; ++qi) {
     const float* q = probes.View().Vec(qi);
     SearchResult exact, got32, got8;
-    if (!oracle.SearchTopK(q, params, &exact).ok()) std::abort();
-    if (!fp32_graph.SearchTopK(q, params, &got32).ok()) std::abort();
-    if (!int8_graph.SearchTopK(q, params, &got8).ok()) std::abort();
+    if (!oracle.SearchTopK(q, params, IdFilter{}, &exact).ok()) std::abort();
+    if (!fp32_graph.SearchTopK(q, params, IdFilter{}, &got32).ok()) std::abort();
+    if (!int8_graph.SearchTopK(q, params, IdFilter{}, &got8).ok()) std::abort();
     std::set<uint32_t> truth;
     for (const auto& h : exact.hits) truth.insert(h.id);
     size_t hit32 = 0, hit8 = 0;

@@ -5,7 +5,6 @@
 
 #include "src/attention/attention_engine.h"
 #include "src/common/timer.h"
-#include "src/query/diprs.h"
 
 namespace alaya {
 
@@ -136,7 +135,7 @@ Status MethodRunner::AttendHead(uint32_t layer, uint32_t q_head, const float* q,
       TopKParams params;
       params.k = spec_.infllm_cache_tokens;
       SearchResult res;
-      ALAYA_RETURN_IF_ERROR(coarse->SearchTopK(q, params, &res));
+      ALAYA_RETURN_IF_ERROR(coarse->SearchTopK(q, params, IdFilter{}, &res));
       local.search = res.stats;
       for (const ScoredId& h : res.hits) {
         if (!window_.Contains(h.id, n)) retrieved_ids.push_back(h.id);
@@ -150,7 +149,7 @@ Status MethodRunner::AttendHead(uint32_t layer, uint32_t q_head, const float* q,
       params.k = spec_.k;
       params.ef = spec_.ef != 0 ? spec_.ef : std::max<size_t>(spec_.k, 64);
       SearchResult res;
-      ALAYA_RETURN_IF_ERROR(fine->SearchTopK(q, params, &res));
+      ALAYA_RETURN_IF_ERROR(fine->SearchTopK(q, params, IdFilter{}, &res));
       local.search = res.stats;
       for (const ScoredId& h : res.hits) {
         if (!window_.Contains(h.id, n)) retrieved_ids.push_back(h.id);
@@ -163,13 +162,12 @@ Status MethodRunner::AttendHead(uint32_t layer, uint32_t q_head, const float* q,
       DiprParams params;
       params.beta = spec_.beta;
       params.l0 = spec_.dipr_l0;
-      DiprsHints hints;
       if (spec_.window_hint) {
-        hints.prior_best_ip = window_.MaxWindowInnerProduct(q, keys, n);
+        params.prior_best_ip = window_.MaxWindowInnerProduct(q, keys, n);
         local.search.dist_comps += window_ids.size();
       }
-      SearchResult res = DiprsSearch(fine->graph(), fine->vectors(),
-                                     fine->EntryPoint(q), q, params, hints);
+      SearchResult res;
+      ALAYA_RETURN_IF_ERROR(fine->SearchDipr(q, params, IdFilter{}, &res));
       local.search += res.stats;
       for (const ScoredId& h : res.hits) {
         if (!window_.Contains(h.id, n)) retrieved_ids.push_back(h.id);

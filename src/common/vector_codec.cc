@@ -550,11 +550,4 @@ void MatVecDotCoded(const CodedVectorSet& coded, const float* q, float* out) {
   }
 }
 
-void MultiQueryDotCoded(const CodedVectorSet& coded, const float* qs, size_t nq,
-                        float* out) {
-  const size_t n = coded.size();
-  const size_t d = coded.dim();
-  for (size_t j = 0; j < nq; ++j) MatVecDotCoded(coded, qs + j * d, out + j * n);
-}
-
 }  // namespace alaya

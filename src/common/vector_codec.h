@@ -237,10 +237,4 @@ size_t RerankTopHits(const ScoringView& view, const float* q,
 /// out[i] = <q, decode(row i)> for every row of `coded` (decode-free matvec).
 void MatVecDotCoded(const CodedVectorSet& coded, const float* q, float* out);
 
-/// Multi-query batch: out[j * coded.size() + i] = <q_j, decode(row i)> for
-/// queries q_0..q_{nq-1} packed row-major in `qs`. Per-query state (Σ q_j)
-/// is prepared once per query, amortized over all rows.
-void MultiQueryDotCoded(const CodedVectorSet& coded, const float* qs, size_t nq,
-                        float* out);
-
 }  // namespace alaya

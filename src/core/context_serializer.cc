@@ -178,8 +178,14 @@ Status ContextSerializer::Persist(const Context& context, const std::string& pre
       }
     }
   }
+  // Token rows: the float form in slot 0 (what older readers parse) and the
+  // id's exact bits in slot 1 — a float holds integers exactly only below
+  // 2^24, and synthetic stored ids live in [2^30, 2^31).
   for (int32_t t : context.tokens()) {
-    ALAYA_RETURN_IF_ERROR(put(static_cast<float>(t)));
+    std::fill(row.begin(), row.end(), 0.f);
+    row[0] = static_cast<float>(t);
+    std::memcpy(&row[1], &t, sizeof(t));
+    ALAYA_RETURN_IF_ERROR(append(/*hashed=*/true));
   }
   // Trailer: magic, generation, then the checksum over everything above. The
   // trailer rows are excluded from the hash (the checksum cannot cover
@@ -335,7 +341,10 @@ Result<ContextManifest> ContextSerializer::LoadManifestImpl(
   man.tokens.resize(man.length);
   for (size_t t = 0; t < man.length; ++t) {
     ALAYA_ASSIGN_OR_RETURN(float v, get(static_cast<uint32_t>(tokens_begin + t)));
-    man.tokens[t] = static_cast<int32_t>(v);
+    int32_t exact = 0;
+    std::memcpy(&exact, &row[1], sizeof(exact));
+    // Manifests written before ids were stored exactly leave slot 1 zero.
+    man.tokens[t] = exact != 0 ? exact : static_cast<int32_t>(v);
   }
 
   // Trailer: a manifest torn mid-write is missing rows (the reads fail), an

@@ -6,8 +6,6 @@
 #include "src/attention/attention_engine.h"
 #include "src/common/timer.h"
 #include "src/index/flat_index.h"
-#include "src/index/graph_search.h"
-#include "src/query/diprs.h"
 #include "src/query/sharded_attention.h"
 
 namespace alaya {
@@ -265,51 +263,23 @@ Status Session::AttendHead(uint32_t layer, uint32_t q_head, const float* qh,
   }
   stats->search.dist_comps += ctx_window_ids.size() + n_local;
 
-  // --- Retrieval over the reused context. ---
+  // --- Retrieval over the reused context: one index call. An unbuilt
+  // planned index degrades coarse -> fine -> flat.
   SearchResult retrieved;
   if (prefix_len_ > 0) {
-    IdFilter filter = plan.filter;
-    switch (plan.index) {
-      case IndexClass::kCoarse: {
-        const CoarseIndex* coarse = context_->CoarseIdx(layer, kv_head);
-        if (coarse != nullptr) {
-          ALAYA_RETURN_IF_ERROR(
-              coarse->SearchTopKFiltered(qh, plan.topk, filter, &retrieved));
-          break;
-        }
-        [[fallthrough]];  // No coarse index built: degrade to fine/flat.
-      }
-      case IndexClass::kFine: {
-        const RoarGraph* fine = context_->FineIndex(layer, q_head);
-        if (fine != nullptr && fine->built()) {
-          DiprsHints hints;
-          hints.prior_best_ip = prior;
-          if (plan.query == QueryClass::kDipr) {
-            retrieved = filter.enabled()
-                            ? DiprsSearchFiltered(fine->graph(), fine->scoring(),
-                                                  fine->EntryPoint(qh), qh, plan.dipr,
-                                                  filter, hints)
-                            : DiprsSearch(fine->graph(), fine->scoring(),
-                                          fine->EntryPoint(qh), qh, plan.dipr, hints);
-          } else {
-            ALAYA_RETURN_IF_ERROR(
-                fine->SearchTopKFiltered(qh, plan.topk, filter, &retrieved));
-          }
-          break;
-        }
-        [[fallthrough]];  // No fine index: degrade to flat scan.
-      }
-      case IndexClass::kFlat: {
-        FlatIndex flat(ctx_keys);
-        if (plan.query == QueryClass::kDipr) {
-          ALAYA_RETURN_IF_ERROR(
-              flat.SearchDiprFiltered(qh, plan.dipr, filter, &retrieved));
-        } else {
-          ALAYA_RETURN_IF_ERROR(
-              flat.SearchTopKFiltered(qh, plan.topk, filter, &retrieved));
-        }
-        break;
-      }
+    const VectorIndex* index = nullptr;
+    if (plan.index == IndexClass::kCoarse) index = context_->CoarseIdx(layer, kv_head);
+    if (index == nullptr && plan.index != IndexClass::kFlat) {
+      const RoarGraph* fine = context_->FineIndex(layer, q_head);
+      if (fine != nullptr && fine->built()) index = fine;
+    }
+    const FlatIndex flat(ctx_keys);
+    if (index == nullptr) index = &flat;
+    if (plan.query == QueryClass::kDipr) {
+      const DiprParams dipr{plan.dipr, prior};
+      ALAYA_RETURN_IF_ERROR(index->SearchDipr(qh, dipr, plan.filter, &retrieved));
+    } else {
+      ALAYA_RETURN_IF_ERROR(index->SearchTopK(qh, plan.topk, plan.filter, &retrieved));
     }
   }
   stats->search_seconds += search_timer.ElapsedSeconds();

@@ -117,13 +117,7 @@ float CoarseIndex::BlockScore(const float* q, size_t blk) const {
 }
 
 Status CoarseIndex::SearchTopK(const float* q, const TopKParams& params,
-                               SearchResult* out) const {
-  return SearchTopKFiltered(q, params, IdFilter{}, out);
-}
-
-Status CoarseIndex::SearchTopKFiltered(const float* q, const TopKParams& params,
-                                       const IdFilter& filter,
-                                       SearchResult* out) const {
+                               const IdFilter& filter, SearchResult* out) const {
   if (q == nullptr || out == nullptr) {
     return Status::InvalidArgument("null query/output");
   }
@@ -155,12 +149,8 @@ Status CoarseIndex::SearchTopKFiltered(const float* q, const TopKParams& params,
   return Status::Ok();
 }
 
-Status CoarseIndex::SearchDipr(const float*, const DiprParams&, SearchResult*) const {
-  return Status::NotSupported("coarse index cannot process DIPR queries (Table 4)");
-}
-
-Status CoarseIndex::SearchDiprFiltered(const float*, const DiprParams&, const IdFilter&,
-                                       SearchResult*) const {
+Status CoarseIndex::SearchDipr(const float*, const DiprParams&, const IdFilter&,
+                               SearchResult*) const {
   return Status::NotSupported("coarse index cannot process DIPR queries (Table 4)");
 }
 

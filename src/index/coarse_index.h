@@ -45,17 +45,12 @@ class CoarseIndex final : public VectorIndex {
   /// Top-k semantics: selects ceil(k / block_size) best blocks and returns all
   /// of their tokens (so |hits| is k rounded up to block granularity).
   Status SearchTopK(const float* q, const TopKParams& params,
-                    SearchResult* out) const override;
+                    const IdFilter& filter, SearchResult* out) const override;
 
   /// DIPR needs per-key decisions; a coarse index cannot provide them
   /// (Table 4: coarse supports Top-k and Filter only).
   Status SearchDipr(const float* q, const DiprParams& params,
-                    SearchResult* out) const override;
-
-  Status SearchTopKFiltered(const float* q, const TopKParams& params,
-                            const IdFilter& filter, SearchResult* out) const override;
-  Status SearchDiprFiltered(const float* q, const DiprParams& params,
-                            const IdFilter& filter, SearchResult* out) const override;
+                    const IdFilter& filter, SearchResult* out) const override;
 
   size_t num_blocks() const { return num_blocks_; }
   uint32_t block_size() const { return options_.block_size; }

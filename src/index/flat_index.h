@@ -15,21 +15,16 @@ class FlatIndex final : public VectorIndex {
   /// outlive the index. Flat scans always see the current view.
   explicit FlatIndex(VectorSetView view) : view_(view) {}
 
-  /// Rebinds to a grown vector set (cheap; flat index has no state to update).
-  void Rebind(VectorSetView view) { view_ = view; }
-
   IndexClass index_class() const override { return IndexClass::kFlat; }
   size_t size() const override { return view_.n; }
   uint64_t MemoryBytes() const override { return 0; }  // No structure beyond the data.
 
   Status SearchTopK(const float* q, const TopKParams& params,
-                    SearchResult* out) const override;
+                    const IdFilter& filter, SearchResult* out) const override;
+  /// Exact: computes the true maximum, so `params.prior_best_ip` (a
+  /// graph-search seed) does not apply.
   Status SearchDipr(const float* q, const DiprParams& params,
-                    SearchResult* out) const override;
-  Status SearchTopKFiltered(const float* q, const TopKParams& params,
-                            const IdFilter& filter, SearchResult* out) const override;
-  Status SearchDiprFiltered(const float* q, const DiprParams& params,
-                            const IdFilter& filter, SearchResult* out) const override;
+                    const IdFilter& filter, SearchResult* out) const override;
 
  private:
   VectorSetView view_;

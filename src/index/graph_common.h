@@ -81,17 +81,4 @@ class AdjacencyGraph {
   std::vector<uint32_t> adj_;
 };
 
-/// A graph index searchable by the query-layer algorithms (top-k beam search,
-/// DIPRS, filtered DIPRS). Concrete type: RoarGraph.
-class SearchableGraph {
- public:
-  virtual ~SearchableGraph() = default;
-
-  virtual const AdjacencyGraph& graph() const = 0;
-  virtual VectorSetView vectors() const = 0;
-
-  /// A good starting node for query q (e.g., a fixed medoid/max-norm entry).
-  virtual uint32_t EntryPoint(const float* q) const = 0;
-};
-
 }  // namespace alaya

@@ -62,13 +62,4 @@ SearchResult GraphBeamSearch(const AdjacencyGraph& graph,
   return out;
 }
 
-SearchResult GraphTopK(const AdjacencyGraph& graph, const ScoringView& vectors,
-                       uint32_t entry, const float* q, const TopKParams& params,
-                       VisitedSet* visited) {
-  SearchResult res =
-      GraphBeamSearch(graph, vectors, entry, q, params.EffectiveEf(), visited);
-  if (res.hits.size() > params.k) res.hits.resize(params.k);
-  return res;
-}
-
 }  // namespace alaya

@@ -1,6 +1,6 @@
 // Generic best-first (beam) search over an adjacency graph, maximizing inner
-// product. Used by index construction (connectivity enhancement), the top-k
-// query type, and as the skeleton DIPRS builds on.
+// product. Used by index construction (connectivity enhancement) and the
+// top-k query type.
 #pragma once
 
 #include "src/common/vector_codec.h"
@@ -22,10 +22,5 @@ SearchResult GraphBeamSearch(const AdjacencyGraph& graph,
                              const ScoringView& vectors, uint32_t entry,
                              const float* q, size_t ef,
                              VisitedSet* visited = nullptr);
-
-/// Beam search returning only the top k of an ef-wide beam.
-SearchResult GraphTopK(const AdjacencyGraph& graph, const ScoringView& vectors,
-                       uint32_t entry, const float* q, const TopKParams& params,
-                       VisitedSet* visited = nullptr);
 
 }  // namespace alaya

@@ -7,7 +7,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -45,14 +45,23 @@ struct TopKParams {
   size_t EffectiveEf() const { return ef >= k ? ef : k; }
 };
 
-/// Parameters for the DIPR query (Definition 3): return every key whose inner
+/// Settings of the DIPR query (Definition 3): return every key whose inner
 /// product is within beta of the maximum.
-struct DiprParams {
+struct DiprOptions {
   float beta = 50.0f;
   /// Capacity threshold l0 of Algorithm 1 (exploration floor).
   size_t l0 = 64;
   /// Hard cap on returned tokens (0 = unlimited); guards worst-case latency.
   size_t max_tokens = 0;
+};
+
+/// One DIPR search: the settings plus what the caller knows for this query.
+struct DiprParams : DiprOptions {
+  /// Window-caching enhancement (§7.1): best inner product among the cached
+  /// initial+last window tokens, which holds the global maximum ~98% of the
+  /// time; seeding the graph search's threshold with it prunes exploration
+  /// immediately. A flat scan computes the exact maximum and ignores it.
+  float prior_best_ip = -std::numeric_limits<float>::infinity();
 };
 
 /// Optional predicate restricting which token ids may be returned
@@ -87,20 +96,16 @@ class VectorIndex {
   /// Bytes of index structure (excluding the raw vectors it points into).
   virtual uint64_t MemoryBytes() const = 0;
 
-  /// Retrieves (approximately) the k keys with the largest inner product.
+  /// Retrieves (approximately) the k keys with the largest inner product
+  /// among the ids passing `filter` (a disabled filter passes every id).
   virtual Status SearchTopK(const float* q, const TopKParams& params,
-                            SearchResult* out) const = 0;
+                            const IdFilter& filter, SearchResult* out) const = 0;
 
-  /// Retrieves the DIPR critical set (Definition 3). Indices that cannot
-  /// process DIPR (coarse) return NotSupported, matching Table 4.
+  /// Retrieves the DIPR critical set (Definition 3) among the ids passing
+  /// `filter`. Indices that cannot process DIPR (coarse) return
+  /// NotSupported, matching Table 4.
   virtual Status SearchDipr(const float* q, const DiprParams& params,
-                            SearchResult* out) const = 0;
-
-  /// Filtered variants restrict results to ids passing `filter`.
-  virtual Status SearchTopKFiltered(const float* q, const TopKParams& params,
-                                    const IdFilter& filter, SearchResult* out) const = 0;
-  virtual Status SearchDiprFiltered(const float* q, const DiprParams& params,
-                                    const IdFilter& filter, SearchResult* out) const = 0;
+                            const IdFilter& filter, SearchResult* out) const = 0;
 };
 
 }  // namespace alaya

@@ -305,39 +305,22 @@ double RoarGraph::ReachableFraction() const {
 }
 
 Status RoarGraph::SearchTopK(const float* q, const TopKParams& params,
-                             SearchResult* out) const {
+                             const IdFilter& filter, SearchResult* out) const {
   if (q == nullptr || out == nullptr) return Status::InvalidArgument("null arg");
   if (!built_) return Status::FailedPrecondition("RoarGraph not built");
-  out->Clear();
-  *out = GraphBeamSearch(graph_, scoring(), entry_, q, params.EffectiveEf(), nullptr);
+  *out = GraphBeamSearch(graph_, scoring(), entry_, q, params.EffectiveEf());
   if (out->hits.size() > params.k) out->hits.resize(params.k);
-  return Status::Ok();
-}
-
-Status RoarGraph::SearchDipr(const float* q, const DiprParams& params,
-                             SearchResult* out) const {
-  if (q == nullptr || out == nullptr) return Status::InvalidArgument("null arg");
-  if (!built_) return Status::FailedPrecondition("RoarGraph not built");
-  out->Clear();
-  *out = DiprsSearch(graph_, scoring(), entry_, q, params);
-  return Status::Ok();
-}
-
-Status RoarGraph::SearchTopKFiltered(const float* q, const TopKParams& params,
-                                     const IdFilter& filter, SearchResult* out) const {
-  ALAYA_RETURN_IF_ERROR(SearchTopK(q, params, out));
   if (filter.enabled()) {
     std::erase_if(out->hits, [&](const ScoredId& h) { return !filter.Pass(h.id); });
   }
   return Status::Ok();
 }
 
-Status RoarGraph::SearchDiprFiltered(const float* q, const DiprParams& params,
-                                     const IdFilter& filter, SearchResult* out) const {
+Status RoarGraph::SearchDipr(const float* q, const DiprParams& params,
+                             const IdFilter& filter, SearchResult* out) const {
   if (q == nullptr || out == nullptr) return Status::InvalidArgument("null arg");
   if (!built_) return Status::FailedPrecondition("RoarGraph not built");
-  out->Clear();
-  *out = DiprsSearchFiltered(graph_, scoring(), entry_, q, params, filter);
+  *out = DiprsSearch(graph_, scoring(), entry_, q, params, filter);
   return Status::Ok();
 }
 

@@ -40,7 +40,7 @@ struct RoarGraphOptions {
   size_t rerank_k = 32;
 };
 
-class RoarGraph final : public VectorIndex, public SearchableGraph {
+class RoarGraph final : public VectorIndex {
  public:
   /// The key vectors are owned by the caller (KV cache) and must outlive the
   /// index. Call one of the Build methods before searching.
@@ -79,19 +79,18 @@ class RoarGraph final : public VectorIndex, public SearchableGraph {
   uint64_t MemoryBytes() const override {
     return graph_.MemoryBytes() + coded_.MemoryBytes();
   }
+  /// Beam search (ef = params.EffectiveEf()) truncated to k; a filter
+  /// post-filters those k hits, so fewer than k may pass.
   Status SearchTopK(const float* q, const TopKParams& params,
-                    SearchResult* out) const override;
+                    const IdFilter& filter, SearchResult* out) const override;
+  /// DIPRS (Algorithm 1) from the max-norm entry point.
   Status SearchDipr(const float* q, const DiprParams& params,
-                    SearchResult* out) const override;
-  Status SearchTopKFiltered(const float* q, const TopKParams& params,
-                            const IdFilter& filter, SearchResult* out) const override;
-  Status SearchDiprFiltered(const float* q, const DiprParams& params,
-                            const IdFilter& filter, SearchResult* out) const override;
+                    const IdFilter& filter, SearchResult* out) const override;
 
-  // --- SearchableGraph ---
-  const AdjacencyGraph& graph() const override { return graph_; }
-  VectorSetView vectors() const override { return keys_; }
-  uint32_t EntryPoint(const float* /*q*/) const override { return entry_; }
+  const AdjacencyGraph& graph() const { return graph_; }
+  VectorSetView vectors() const { return keys_; }
+  /// The max-norm key every search starts from.
+  uint32_t entry_point() const { return entry_; }
 
   /// What searches score on: fp32 keys plus the coded sidecar when the index
   /// was built with a non-fp32 codec (empty sidecar == exact scoring).

@@ -1,7 +1,6 @@
 #include "src/query/diprs.h"
 
 #include <algorithm>
-#include <deque>
 
 namespace alaya {
 
@@ -13,15 +12,24 @@ struct DiprsState {
   float best_ip;            ///< Max inner product over C and the window prior.
   float beta;
   size_t l0;
-  size_t max_explored = 0;  ///< Strict cap on |C| (0 = unbounded).
   SearchStats stats;
 };
 
+/// FIFO of node ids over a vector. Unlike std::deque it allocates nothing
+/// until the first push, so a search whose filter passes every node never
+/// pays for its queues.
+class IdQueue {
+ public:
+  bool empty() const { return head_ == ids_.size(); }
+  void push(uint32_t id) { ids_.push_back(id); }
+  uint32_t pop() { return ids_[head_++]; }
+
+ private:
+  std::vector<uint32_t> ids_;
+  size_t head_ = 0;
+};
+
 inline void TryAppend(uint32_t id, float ip, DiprsState* st) {
-  if (st->max_explored > 0 && st->c.size() >= st->max_explored) {
-    if (ip > st->best_ip) st->best_ip = ip;
-    return;
-  }
   // Line 13: append while below the capacity floor, or when within beta of
   // the best-so-far inner product.
   if (st->c.size() <= st->l0 || ip >= st->best_ip - st->beta) {
@@ -50,11 +58,13 @@ SearchResult Finalize(DiprsState* st, const DiprParams& params,
   return out;
 }
 
-}  // namespace
-
-SearchResult DiprsSearch(const AdjacencyGraph& graph, const ScoringView& vectors,
-                         uint32_t entry, const float* q, const DiprParams& params,
-                         const DiprsHints& hints, VisitedSet* visited) {
+/// The search body. Instantiated twice so that with a disabled filter the
+/// predicate checks and the bridge drain compile away, leaving the plain
+/// Algorithm 1 loop.
+template <bool kFiltered>
+SearchResult Search(const AdjacencyGraph& graph, const ScoringView& vectors,
+                    uint32_t entry, const float* q, const DiprParams& params,
+                    const IdFilter& filter, VisitedSet* visited) {
   SearchResult empty;
   if (graph.size() == 0) return empty;
 
@@ -66,28 +76,68 @@ SearchResult DiprsSearch(const AdjacencyGraph& graph, const ScoringView& vectors
   DiprsState st;
   st.beta = params.beta;
   st.l0 = params.l0;
-  st.max_explored = hints.max_explored;
-  st.best_ip = hints.prior_best_ip;
+  st.best_ip = params.prior_best_ip;
 
   const QueryScorer scorer(vectors, q);
+  auto passes = [&](uint32_t v) { return !kFiltered || filter.Pass(v); };
+  auto seed = [&](uint32_t v) {
+    const float ip = scorer.Score(v);
+    st.stats.dist_comps++;
+    st.c.push_back({v, ip});
+    if (ip > st.best_ip) st.best_ip = ip;
+  };
 
-  // Line 1: initialize C with the start key.
+  // Line 1: initialize C with the start key. If the entry fails the
+  // predicate, BFS through the graph (bounded) until a few passing seeds are
+  // found.
   visited->Visit(entry);
-  const float entry_ip = scorer.Score(entry);
-  st.stats.dist_comps++;
-  st.c.push_back({entry, entry_ip});
-  if (entry_ip > st.best_ip) st.best_ip = entry_ip;
+  if (passes(entry)) {
+    seed(entry);
+  } else {
+    IdQueue bfs;
+    bfs.push(entry);
+    const size_t kSeedTarget = 4;
+    const size_t kBfsBudget = 4096;
+    size_t popped = 0;
+    while (!bfs.empty() && st.c.size() < kSeedTarget && popped < kBfsBudget) {
+      const uint32_t u = bfs.pop();
+      ++popped;
+      for (uint32_t v : graph.Neighbors(u)) {
+        if (!visited->Visit(v)) continue;
+        if (passes(v)) {
+          seed(v);
+        } else {
+          bfs.push(v);
+        }
+      }
+    }
+    if (st.c.empty()) return empty;  // Predicate selects nothing reachable.
+  }
 
-  // Lines 3-7: sweep C in insertion order; C grows during the sweep.
+  // Lines 3-7: sweep C in insertion order; C grows during the sweep. A
+  // neighbor failing the predicate becomes a "bridge" whose own neighborhood
+  // is inspected (§7.1, after ACORN [49]): after each candidate, up to
+  // kBridgeDrainPerHop queued bridges are expanded breadth-first, so
+  // connectivity survives even low-selectivity predicates (e.g. a 20% reuse
+  // ratio) without scanning the whole graph.
+  IdQueue bridges;
+  const size_t kBridgeDrainPerHop = 48;
   for (size_t i = 0; i < st.c.size(); ++i) {
-    if (hints.max_explored > 0 && st.c.size() >= hints.max_explored) break;
-    const uint32_t u = st.c[i].id;
-    st.stats.hops++;
-    for (uint32_t v : graph.Neighbors(u)) {
-      if (!visited->Visit(v)) continue;
-      const float ip = scorer.Score(v);
-      st.stats.dist_comps++;
-      TryAppend(v, ip, &st);
+    uint32_t u = st.c[i].id;
+    for (size_t drained = 0;; ++drained) {
+      st.stats.hops++;
+      for (uint32_t v : graph.Neighbors(u)) {
+        if (!visited->Visit(v)) continue;
+        if (passes(v)) {
+          const float ip = scorer.Score(v);
+          st.stats.dist_comps++;
+          TryAppend(v, ip, &st);
+        } else {
+          bridges.push(v);
+        }
+      }
+      if (!kFiltered || drained == kBridgeDrainPerHop || bridges.empty()) break;
+      u = bridges.pop();
     }
   }
 
@@ -95,103 +145,14 @@ SearchResult DiprsSearch(const AdjacencyGraph& graph, const ScoringView& vectors
   return Finalize(&st, params, vectors, q);
 }
 
-SearchResult DiprsSearchFiltered(const AdjacencyGraph& graph,
-                                 const ScoringView& vectors,
-                                 uint32_t entry, const float* q,
-                                 const DiprParams& params, const IdFilter& filter,
-                                 const DiprsHints& hints, VisitedSet* visited) {
-  if (!filter.enabled()) {
-    return DiprsSearch(graph, vectors, entry, q, params, hints, visited);
-  }
-  SearchResult empty;
-  if (graph.size() == 0) return empty;
+}  // namespace
 
-  VisitedSet local;
-  if (visited == nullptr) visited = &local;
-  visited->Resize(graph.size());
-  visited->Reset();
-
-  DiprsState st;
-  st.beta = params.beta;
-  st.l0 = params.l0;
-  st.max_explored = hints.max_explored;
-  st.best_ip = hints.prior_best_ip;
-
-  const QueryScorer scorer(vectors, q);
-
-  // Seed C with passing nodes. If the entry fails the predicate, BFS through
-  // the graph (bounded) until a few passing seeds are found.
-  visited->Visit(entry);
-  if (filter.Pass(entry)) {
-    const float ip = scorer.Score(entry);
-    st.stats.dist_comps++;
-    st.c.push_back({entry, ip});
-    if (ip > st.best_ip) st.best_ip = ip;
-  } else {
-    std::deque<uint32_t> bfs{entry};
-    const size_t kSeedTarget = 4;
-    const size_t kBfsBudget = 4096;
-    size_t popped = 0;
-    while (!bfs.empty() && st.c.size() < kSeedTarget && popped < kBfsBudget) {
-      const uint32_t u = bfs.front();
-      bfs.pop_front();
-      ++popped;
-      for (uint32_t v : graph.Neighbors(u)) {
-        if (!visited->Visit(v)) continue;
-        if (filter.Pass(v)) {
-          const float ip = scorer.Score(v);
-          st.stats.dist_comps++;
-          st.c.push_back({v, ip});
-          if (ip > st.best_ip) st.best_ip = ip;
-        } else {
-          bfs.push_back(v);
-        }
-      }
-    }
-    if (st.c.empty()) return empty;  // Predicate selects nothing reachable.
-  }
-
-  // Main sweep with bridged expansion through filtered-out nodes (§7.1,
-  // after ACORN [49]): a neighbor v failing the predicate becomes a "bridge"
-  // whose own neighborhood is inspected, breadth-first with a bounded drain
-  // per candidate, so connectivity survives even low-selectivity predicates
-  // (e.g. a 20% reuse ratio) without scanning the whole graph.
-  std::deque<uint32_t> bridges;
-  const size_t kBridgeDrainPerHop = 48;
-  for (size_t i = 0; i < st.c.size(); ++i) {
-    if (hints.max_explored > 0 && st.c.size() >= hints.max_explored) break;
-    const uint32_t u = st.c[i].id;
-    st.stats.hops++;
-    for (uint32_t v : graph.Neighbors(u)) {
-      if (!visited->Visit(v)) continue;
-      if (filter.Pass(v)) {
-        const float ip = scorer.Score(v);
-        st.stats.dist_comps++;
-        TryAppend(v, ip, &st);
-      } else {
-        bridges.push_back(v);
-      }
-    }
-    size_t drained = 0;
-    while (!bridges.empty() && drained < kBridgeDrainPerHop) {
-      const uint32_t b = bridges.front();
-      bridges.pop_front();
-      ++drained;
-      st.stats.hops++;
-      for (uint32_t w : graph.Neighbors(b)) {
-        if (!visited->Visit(w)) continue;
-        if (filter.Pass(w)) {
-          const float ip = scorer.Score(w);
-          st.stats.dist_comps++;
-          TryAppend(w, ip, &st);
-        } else {
-          bridges.push_back(w);
-        }
-      }
-    }
-  }
-
-  return Finalize(&st, params, vectors, q);
+SearchResult DiprsSearch(const AdjacencyGraph& graph, const ScoringView& vectors,
+                         uint32_t entry, const float* q, const DiprParams& params,
+                         const IdFilter& filter, VisitedSet* visited) {
+  return filter.enabled()
+             ? Search<true>(graph, vectors, entry, q, params, filter, visited)
+             : Search<false>(graph, vectors, entry, q, params, filter, visited);
 }
 
 }  // namespace alaya

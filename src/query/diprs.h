@@ -11,8 +11,6 @@
 //        inner product (prune non-critical explorations).
 #pragma once
 
-#include <limits>
-
 #include "src/common/vector_codec.h"
 #include "src/common/visited_set.h"
 #include "src/index/graph_common.h"
@@ -20,35 +18,20 @@
 
 namespace alaya {
 
-/// Optional accelerators for DIPRS.
-struct DiprsHints {
-  /// Window-caching enhancement (§7.1): best inner product among the cached
-  /// initial+last window tokens, which holds the global maximum ~98% of the
-  /// time; seeding the threshold with it prunes exploration immediately.
-  float prior_best_ip = -std::numeric_limits<float>::infinity();
-  /// Safety cap on candidate-list growth (0 = unbounded).
-  size_t max_explored = 0;
-};
-
 /// Algorithm 1. Returns the critical token set c_K, best-first.
 ///
-/// `vectors` is a ScoringView: a bare VectorSetView scores exactly on fp32
-/// (every historical call site); attaching a CodedVectorSet traverses on the
-/// quantized codes and re-scores the top rerank_k survivors against fp32.
+/// `vectors` is a ScoringView: a bare VectorSetView scores exactly on fp32;
+/// attaching a CodedVectorSet traverses on the quantized codes and re-scores
+/// the top rerank_k survivors against fp32. `params.prior_best_ip` seeds the
+/// threshold (window caching, §7.1).
+///
+/// Only tokens passing `filter` are candidates (attribute filtering for
+/// partial context reuse, §7.1); traversal inspects neighbors of
+/// filtered-out nodes (ACORN-style) so graph connectivity survives the
+/// predicate. A disabled filter passes every id.
 SearchResult DiprsSearch(const AdjacencyGraph& graph, const ScoringView& vectors,
                          uint32_t entry, const float* q, const DiprParams& params,
-                         const DiprsHints& hints = DiprsHints{},
+                         const IdFilter& filter = IdFilter{},
                          VisitedSet* visited = nullptr);
-
-/// Attribute-filtered DIPRS for partial context reuse (§7.1): only tokens
-/// passing `filter` are candidates; traversal additionally inspects 2-hop
-/// neighbors through filtered-out nodes (ACORN-style) so graph connectivity
-/// survives the predicate.
-SearchResult DiprsSearchFiltered(const AdjacencyGraph& graph,
-                                 const ScoringView& vectors,
-                                 uint32_t entry, const float* q,
-                                 const DiprParams& params, const IdFilter& filter,
-                                 const DiprsHints& hints = DiprsHints{},
-                                 VisitedSet* visited = nullptr);
 
 }  // namespace alaya

@@ -17,8 +17,8 @@ struct OptimizerOptions {
   size_t short_context_threshold = 4096;
   /// Default top-k when the coarse plan is chosen.
   TopKParams coarse_topk{/*k=*/4096, /*ef=*/0};
-  /// Default DIPR parameters.
-  DiprParams dipr{/*beta=*/50.0f, /*l0=*/64, /*max_tokens=*/0};
+  /// Default DIPR settings.
+  DiprOptions dipr{/*beta=*/50.0f, /*l0=*/64, /*max_tokens=*/0};
   /// Bytes of GPU memory required per cached token under the coarse plan
   /// (K + V in deployed precision; bf16 Llama-3-8B: 2 * 128 * 2 bytes).
   uint32_t coarse_bytes_per_token = 512;
@@ -43,7 +43,7 @@ struct QueryPlan {
   /// Meaningful only when query != kFullAttention.
   IndexClass index = IndexClass::kFine;
   TopKParams topk;
-  DiprParams dipr;
+  DiprOptions dipr;
   IdFilter filter;  ///< Enabled when the context is partially reused.
 
   /// EXPLAIN-style one-liner, e.g. "dipr(beta=50) on fine index + filter".

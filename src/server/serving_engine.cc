@@ -944,15 +944,20 @@ void ServingEngine::StepActiveSessions(const WallTimer& step_timer) {
       a->failed = true;
       continue;
     }
+    // The clock and the scheduler are charged per chunk; the result's total
+    // folds token by token, so it does not depend on how the step budget
+    // split the prompt into chunks.
+    const double heads_x_layers = static_cast<double>(model.num_q_heads) * model.num_layers;
     double modeled = 0;
     for (size_t t = 0; t < a->chunk_granted; ++t) {
       const double visible = static_cast<double>(a->prefill_pos + t + 1);
-      modeled += cost.GpuAttentionSeconds(4.0 * visible * d);
+      const double token_seconds = cost.GpuAttentionSeconds(4.0 * visible * d);
+      modeled += token_seconds;
+      a->result.stats.modeled_gpu_seconds += token_seconds * heads_x_layers;
     }
-    modeled *= static_cast<double>(model.num_q_heads) * model.num_layers;
+    modeled *= heads_x_layers;
     a->session->ChargeModeledGpuSeconds(modeled);
     scheduler_.RecordProgress(a->id, modeled);
-    a->result.stats.modeled_gpu_seconds += modeled;
     a->prefill_pos += a->chunk_granted;
     a->result.prefilled_tokens += a->chunk_granted;
     step_prefilled += a->chunk_granted;

@@ -116,7 +116,7 @@ void ExpectContextsIdentical(const ModelConfig& model, const Context& a,
       ASSERT_EQ(ga != nullptr, gb != nullptr);
       if (ga == nullptr) continue;
       ASSERT_EQ(ga->graph().size(), gb->graph().size());
-      EXPECT_EQ(ga->EntryPoint(nullptr), gb->EntryPoint(nullptr));
+      EXPECT_EQ(ga->entry_point(), gb->entry_point());
       for (uint32_t u = 0; u < ga->graph().size(); ++u) {
         auto na = ga->graph().Neighbors(u);
         auto nb = gb->graph().Neighbors(u);

@@ -39,7 +39,7 @@ TEST_P(CoarseRepTest, SelectsPlantedBlock) {
   std::vector<float> q(24, 0.f);
   q[0] = 1.f;
   SearchResult res;
-  ASSERT_TRUE(index.SearchTopK(q.data(), TopKParams{kBlock, 0}, &res).ok());
+  ASSERT_TRUE(index.SearchTopK(q.data(), TopKParams{kBlock, 0}, IdFilter{}, &res).ok());
   ASSERT_EQ(res.hits.size(), kBlock);
   for (const auto& h : res.hits) {
     EXPECT_GE(h.id, 3u * kBlock);
@@ -79,7 +79,7 @@ TEST(CoarseIndexTest, KRoundsUpToBlockGranularity) {
   CoarseIndex index(set.View(), opts);
   std::vector<float> q(16, 1.f);
   SearchResult res;
-  ASSERT_TRUE(index.SearchTopK(q.data(), TopKParams{10, 0}, &res).ok());
+  ASSERT_TRUE(index.SearchTopK(q.data(), TopKParams{10, 0}, IdFilter{}, &res).ok());
   EXPECT_EQ(res.hits.size(), 16u);  // ceil(10/8) = 2 blocks.
 }
 
@@ -91,9 +91,9 @@ TEST(CoarseIndexTest, DiprNotSupported) {
   std::vector<float> q(16, 1.f);
   SearchResult res;
   DiprParams params;
-  Status s = index.SearchDipr(q.data(), params, &res);
+  Status s = index.SearchDipr(q.data(), params, IdFilter{}, &res);
   EXPECT_EQ(s.code(), StatusCode::kNotSupported);
-  EXPECT_EQ(index.SearchDiprFiltered(q.data(), params, IdFilter{}, &res).code(),
+  EXPECT_EQ(index.SearchDipr(q.data(), params, IdFilter{8}, &res).code(),
             StatusCode::kNotSupported);
 }
 
@@ -107,7 +107,7 @@ TEST(CoarseIndexTest, FilterSkipsBlocksBeyondPrefix) {
   IdFilter filter;
   filter.prefix_len = 40;  // Blocks 0..4 only.
   SearchResult res;
-  ASSERT_TRUE(index.SearchTopKFiltered(q.data(), TopKParams{8, 0}, filter, &res).ok());
+  ASSERT_TRUE(index.SearchTopK(q.data(), TopKParams{8, 0}, filter, &res).ok());
   for (const auto& h : res.hits) EXPECT_LT(h.id, 40u);
 }
 
@@ -139,7 +139,7 @@ TEST(CoarseIndexTest, ShortFinalBlock) {
   EXPECT_EQ(index.num_blocks(), 2u);
   std::vector<float> q(8, 1.f);
   SearchResult res;
-  ASSERT_TRUE(index.SearchTopK(q.data(), TopKParams{32, 0}, &res).ok());
+  ASSERT_TRUE(index.SearchTopK(q.data(), TopKParams{32, 0}, IdFilter{}, &res).ok());
   EXPECT_EQ(res.hits.size(), 20u);
 }
 

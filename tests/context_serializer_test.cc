@@ -112,7 +112,7 @@ TEST(ContextSerializerTest, RoundtripWithFineIndices) {
   const RoarGraph* fine = ctx.FineIndex(1, 0);
   std::vector<float> q(fx.model.head_dim, 0.5f);
   SearchResult res;
-  ASSERT_TRUE(fine->SearchDipr(q.data(), DiprParams{1e6f, 16, 0}, &res).ok());
+  ASSERT_TRUE(fine->SearchDipr(q.data(), DiprParams{1e6f, 16, 0}, IdFilter{}, &res).ok());
   EXPECT_GT(res.hits.size(), 0u);
 }
 

@@ -31,7 +31,7 @@ TEST(DiprsTest, RecallsPlantedCriticalSet) {
   params.beta = 11.f;
   params.l0 = 128;
   SearchResult res = DiprsSearch(fx.graph.graph(), fx.data.keys.View(),
-                                 fx.graph.EntryPoint(fx.data.query.data()),
+                                 fx.graph.entry_point(),
                                  fx.data.query.data(), params);
   EXPECT_GE(fx.data.Recall(res.hits), 0.9) << "hits=" << res.hits.size();
   EXPECT_GT(res.stats.hops, 0u);
@@ -46,9 +46,9 @@ TEST(DiprsTest, ReturnsSupersetNearFlatOracle) {
   params.beta = 11.f;
   FlatIndex flat(fx.data.keys.View());
   SearchResult oracle;
-  ASSERT_TRUE(flat.SearchDipr(fx.data.query.data(), params, &oracle).ok());
+  ASSERT_TRUE(flat.SearchDipr(fx.data.query.data(), params, IdFilter{}, &oracle).ok());
   SearchResult got = DiprsSearch(fx.graph.graph(), fx.data.keys.View(),
-                                 fx.graph.EntryPoint(fx.data.query.data()),
+                                 fx.graph.entry_point(),
                                  fx.data.query.data(), params);
   // At least 85% of the oracle's ids found.
   std::vector<bool> found(3000, false);
@@ -68,10 +68,10 @@ TEST(DiprsTest, DynamicSizeAdaptsToCriticalCount) {
   DiprParams params;
   params.beta = 11.f;
   SearchResult rs = DiprsSearch(small.graph.graph(), small.data.keys.View(),
-                                small.graph.EntryPoint(small.data.query.data()),
+                                small.graph.entry_point(),
                                 small.data.query.data(), params);
   SearchResult rl = DiprsSearch(large.graph.graph(), large.data.keys.View(),
-                                large.graph.EntryPoint(large.data.query.data()),
+                                large.graph.entry_point(),
                                 large.data.query.data(), params);
   EXPECT_LT(rs.hits.size(), rl.hits.size());
   EXPECT_GT(rl.hits.size(), 150u);
@@ -82,13 +82,13 @@ TEST(DiprsTest, WindowHintPrunesExploration) {
   DiprParams params;
   params.beta = 11.f;
   SearchResult plain = DiprsSearch(fx.graph.graph(), fx.data.keys.View(),
-                                   fx.graph.EntryPoint(fx.data.query.data()),
+                                   fx.graph.entry_point(),
                                    fx.data.query.data(), params);
-  DiprsHints hints;
-  hints.prior_best_ip = fx.data.ip_max;  // As if the max were window-cached.
+  DiprParams hinted_params = params;
+  hinted_params.prior_best_ip = fx.data.ip_max;  // As if the max were window-cached.
   SearchResult hinted = DiprsSearch(fx.graph.graph(), fx.data.keys.View(),
-                                    fx.graph.EntryPoint(fx.data.query.data()),
-                                    fx.data.query.data(), params, hints);
+                                    fx.graph.entry_point(),
+                                    fx.data.query.data(), hinted_params);
   EXPECT_LE(hinted.stats.appended, plain.stats.appended);
   EXPECT_GE(fx.data.Recall(hinted.hits), 0.85);
 }
@@ -99,22 +99,9 @@ TEST(DiprsTest, MaxTokensCapsResult) {
   params.beta = 11.f;
   params.max_tokens = 10;
   SearchResult res = DiprsSearch(fx.graph.graph(), fx.data.keys.View(),
-                                 fx.graph.EntryPoint(fx.data.query.data()),
+                                 fx.graph.entry_point(),
                                  fx.data.query.data(), params);
   EXPECT_LE(res.hits.size(), 10u);
-}
-
-TEST(DiprsTest, MaxExploredBoundsListGrowth) {
-  DiprsFixture fx(2000, 32, 200, 31);
-  DiprParams params;
-  params.beta = 11.f;
-  DiprsHints hints;
-  hints.max_explored = 50;
-  SearchResult res = DiprsSearch(fx.graph.graph(), fx.data.keys.View(),
-                                 fx.graph.EntryPoint(fx.data.query.data()),
-                                 fx.data.query.data(), params, hints);
-  EXPECT_LE(res.stats.appended, 50u);
-  EXPECT_LE(res.hits.size(), 50u);
 }
 
 TEST(DiprsTest, EmptyGraphReturnsNothing) {
@@ -132,9 +119,9 @@ TEST(DiprsFilteredTest, RespectsPredicate) {
   params.l0 = 128;
   IdFilter filter;
   filter.prefix_len = 1500;
-  SearchResult res = DiprsSearchFiltered(fx.graph.graph(), fx.data.keys.View(),
-                                         fx.graph.EntryPoint(fx.data.query.data()),
-                                         fx.data.query.data(), params, filter);
+  SearchResult res = DiprsSearch(fx.graph.graph(), fx.data.keys.View(),
+                                 fx.graph.entry_point(), fx.data.query.data(),
+                                 params, filter);
   for (const auto& h : res.hits) EXPECT_LT(h.id, 1500u);
   // Recall over the critical ids that pass the filter.
   size_t passing = 0, found = 0;
@@ -150,18 +137,34 @@ TEST(DiprsFilteredTest, RespectsPredicate) {
   EXPECT_GE(static_cast<double>(found) / passing, 0.7);
 }
 
+void ExpectSameSearch(const SearchResult& a, const SearchResult& b) {
+  ASSERT_EQ(a.hits.size(), b.hits.size());
+  for (size_t i = 0; i < a.hits.size(); ++i) {
+    EXPECT_EQ(a.hits[i].id, b.hits[i].id);
+    EXPECT_EQ(a.hits[i].score, b.hits[i].score);
+  }
+  EXPECT_EQ(a.stats.dist_comps, b.stats.dist_comps);
+  EXPECT_EQ(a.stats.hops, b.stats.hops);
+  EXPECT_EQ(a.stats.appended, b.stats.appended);
+}
+
 TEST(DiprsFilteredTest, DisabledFilterEqualsPlain) {
+  // A disabled filter and an enabled one that every node passes must walk
+  // the graph exactly like the unfiltered search: same hits, same counters.
   DiprsFixture fx(1500, 32, 50, 41);
   DiprParams params;
   params.beta = 11.f;
   SearchResult plain = DiprsSearch(fx.graph.graph(), fx.data.keys.View(),
-                                   fx.graph.EntryPoint(fx.data.query.data()),
+                                   fx.graph.entry_point(),
                                    fx.data.query.data(), params);
-  SearchResult filtered = DiprsSearchFiltered(
-      fx.graph.graph(), fx.data.keys.View(),
-      fx.graph.EntryPoint(fx.data.query.data()), fx.data.query.data(), params,
-      IdFilter{});
-  EXPECT_EQ(plain.hits.size(), filtered.hits.size());
+  SearchResult disabled = DiprsSearch(
+      fx.graph.graph(), fx.data.keys.View(), fx.graph.entry_point(),
+      fx.data.query.data(), params, IdFilter{});
+  ExpectSameSearch(plain, disabled);
+  SearchResult all_pass = DiprsSearch(
+      fx.graph.graph(), fx.data.keys.View(), fx.graph.entry_point(),
+      fx.data.query.data(), params, IdFilter{1500});
+  ExpectSameSearch(plain, all_pass);
 }
 
 TEST(DiprsFilteredTest, EntryFailingPredicateStillSearches) {
@@ -172,9 +175,9 @@ TEST(DiprsFilteredTest, EntryFailingPredicateStillSearches) {
   params.beta = 1e9f;  // Everything within range; tests reachability only.
   IdFilter filter;
   filter.prefix_len = 64;
-  SearchResult res = DiprsSearchFiltered(fx.graph.graph(), fx.data.keys.View(),
-                                         fx.graph.EntryPoint(fx.data.query.data()),
-                                         fx.data.query.data(), params, filter);
+  SearchResult res = DiprsSearch(fx.graph.graph(), fx.data.keys.View(),
+                                 fx.graph.entry_point(), fx.data.query.data(),
+                                 params, filter);
   EXPECT_GT(res.hits.size(), 0u);
   for (const auto& h : res.hits) EXPECT_LT(h.id, 64u);
 }
@@ -189,7 +192,7 @@ TEST_P(DiprsBetaSweep, CountRoughlyMonotoneInBeta) {
   params.beta = GetParam();
   params.l0 = 128;
   SearchResult res = DiprsSearch(fx->graph.graph(), fx->data.keys.View(),
-                                 fx->graph.EntryPoint(fx->data.query.data()),
+                                 fx->graph.entry_point(),
                                  fx->data.query.data(), params);
   // With beta below the band floor we retrieve a subset; at the band we
   // retrieve ~all planted criticals; sanity: non-empty, bounded.

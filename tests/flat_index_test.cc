@@ -38,7 +38,7 @@ TEST(FlatIndexTest, TopKIsExact) {
   for (int trial = 0; trial < 10; ++trial) {
     rng.FillGaussian(q.data(), 32);
     SearchResult res;
-    ASSERT_TRUE(index.SearchTopK(q.data(), TopKParams{10, 0}, &res).ok());
+    ASSERT_TRUE(index.SearchTopK(q.data(), TopKParams{10, 0}, IdFilter{}, &res).ok());
     auto expected = BruteTopK(set.View(), q.data(), 10);
     ASSERT_EQ(res.hits.size(), expected.size());
     for (size_t i = 0; i < expected.size(); ++i) {
@@ -59,7 +59,7 @@ TEST(FlatIndexTest, DiprMatchesDefinition) {
     SearchResult res;
     DiprParams params;
     params.beta = beta;
-    ASSERT_TRUE(index.SearchDipr(q.data(), params, &res).ok());
+    ASSERT_TRUE(index.SearchDipr(q.data(), params, IdFilter{}, &res).ok());
     // Compute reference.
     float max_ip = -1e30f;
     for (uint32_t i = 0; i < 300; ++i) {
@@ -85,7 +85,7 @@ TEST(FlatIndexTest, DiprBetaZeroReturnsArgmaxOnly) {
   SearchResult res;
   DiprParams params;
   params.beta = 0.f;
-  ASSERT_TRUE(index.SearchDipr(q.data(), params, &res).ok());
+  ASSERT_TRUE(index.SearchDipr(q.data(), params, IdFilter{}, &res).ok());
   ASSERT_GE(res.hits.size(), 1u);  // Ties possible but at least the max.
   auto top = BruteTopK(set.View(), q.data(), 1);
   EXPECT_EQ(res.hits[0].id, top[0].id);
@@ -100,7 +100,7 @@ TEST(FlatIndexTest, DiprGrowsWithBeta) {
     SearchResult res;
     DiprParams params;
     params.beta = beta;
-    ASSERT_TRUE(index.SearchDipr(q.data(), params, &res).ok());
+    ASSERT_TRUE(index.SearchDipr(q.data(), params, IdFilter{}, &res).ok());
     EXPECT_GE(res.hits.size(), prev);
     prev = res.hits.size();
   }
@@ -115,7 +115,7 @@ TEST(FlatIndexTest, DiprMaxTokensCaps) {
   DiprParams params;
   params.beta = 1000.f;
   params.max_tokens = 13;
-  ASSERT_TRUE(index.SearchDipr(q.data(), params, &res).ok());
+  ASSERT_TRUE(index.SearchDipr(q.data(), params, IdFilter{}, &res).ok());
   EXPECT_EQ(res.hits.size(), 13u);
 }
 
@@ -126,7 +126,7 @@ TEST(FlatIndexTest, NegativeBetaRejected) {
   SearchResult res;
   DiprParams params;
   params.beta = -1.f;
-  EXPECT_FALSE(index.SearchDipr(q.data(), params, &res).ok());
+  EXPECT_FALSE(index.SearchDipr(q.data(), params, IdFilter{}, &res).ok());
 }
 
 TEST(FlatIndexTest, FilterRestrictsIds) {
@@ -136,13 +136,13 @@ TEST(FlatIndexTest, FilterRestrictsIds) {
   IdFilter filter;
   filter.prefix_len = 40;
   SearchResult res;
-  ASSERT_TRUE(index.SearchTopKFiltered(q.data(), TopKParams{100, 0}, filter, &res).ok());
+  ASSERT_TRUE(index.SearchTopK(q.data(), TopKParams{100, 0}, filter, &res).ok());
   EXPECT_EQ(res.hits.size(), 40u);
   for (const auto& h : res.hits) EXPECT_LT(h.id, 40u);
 
   DiprParams params;
   params.beta = 1e6f;
-  ASSERT_TRUE(index.SearchDiprFiltered(q.data(), params, filter, &res).ok());
+  ASSERT_TRUE(index.SearchDipr(q.data(), params, filter, &res).ok());
   EXPECT_EQ(res.hits.size(), 40u);
 }
 
@@ -151,24 +151,23 @@ TEST(FlatIndexTest, EmptyAndNullEdges) {
   FlatIndex index(set.View());
   std::vector<float> q(8, 1.f);
   SearchResult res;
-  EXPECT_TRUE(index.SearchTopK(q.data(), TopKParams{5, 0}, &res).ok());
+  EXPECT_TRUE(index.SearchTopK(q.data(), TopKParams{5, 0}, IdFilter{}, &res).ok());
   EXPECT_TRUE(res.hits.empty());
   DiprParams params;
-  EXPECT_TRUE(index.SearchDipr(q.data(), params, &res).ok());
+  EXPECT_TRUE(index.SearchDipr(q.data(), params, IdFilter{}, &res).ok());
   EXPECT_TRUE(res.hits.empty());
-  EXPECT_FALSE(index.SearchTopK(nullptr, TopKParams{5, 0}, &res).ok());
-  EXPECT_FALSE(index.SearchTopK(q.data(), TopKParams{5, 0}, nullptr).ok());
+  EXPECT_FALSE(index.SearchTopK(nullptr, TopKParams{5, 0}, IdFilter{}, &res).ok());
+  EXPECT_FALSE(index.SearchTopK(q.data(), TopKParams{5, 0}, IdFilter{}, nullptr).ok());
 }
 
-TEST(FlatIndexTest, RebindSeesGrownSet) {
+TEST(FlatIndexTest, SizeFollowsTheView) {
   VectorSet set = MakeRandomSet(10, 8, 10);
-  FlatIndex index(set.View());
-  EXPECT_EQ(index.size(), 10u);
+  EXPECT_EQ(FlatIndex(set.View()).size(), 10u);
   Rng rng(11);
   std::vector<float> v(8);
   rng.FillGaussian(v.data(), 8);
   set.Append(v.data());
-  index.Rebind(set.View());
+  FlatIndex index(set.View());
   EXPECT_EQ(index.size(), 11u);
   EXPECT_EQ(index.index_class(), IndexClass::kFlat);
   EXPECT_EQ(index.MemoryBytes(), 0u);

@@ -45,13 +45,6 @@ TEST(GraphSearchTest, BeamReturnsSortedTopEf) {
   }
 }
 
-TEST(GraphSearchTest, GraphTopKTruncates) {
-  RingFixture fx(50);
-  std::vector<float> q = {1.f, 0.f, 0.f, 0.f};
-  SearchResult res = GraphTopK(fx.graph, fx.keys.View(), 0, q.data(), TopKParams{3, 10});
-  EXPECT_EQ(res.hits.size(), 3u);
-}
-
 TEST(GraphSearchTest, EmptyGraphAndZeroEf) {
   AdjacencyGraph g;
   VectorSetView empty;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/index/graph_search.h"
 #include "tests/test_util.h"
 
 namespace alaya {
@@ -44,7 +45,7 @@ TEST(RoarGraphTest, TopKRecallOnPlantedData) {
 
   SearchResult res;
   TopKParams params{50, 128};
-  ASSERT_TRUE(graph.SearchTopK(data.query.data(), params, &res).ok());
+  ASSERT_TRUE(graph.SearchTopK(data.query.data(), params, IdFilter{}, &res).ok());
   ASSERT_EQ(res.hits.size(), 50u);
   auto exact = BruteTopK(data.keys.View(), data.query.data(), 50);
   std::vector<bool> got(4000, false);
@@ -56,14 +57,28 @@ TEST(RoarGraphTest, TopKRecallOnPlantedData) {
   EXPECT_GE(inter, 45u);  // >= 90% recall@50.
 }
 
+TEST(RoarGraphTest, TopKTruncatesTheBeam) {
+  PlantedMips data(1000, 16, 60, 15);
+  RoarGraph graph(data.keys.View(), RoarGraphOptions{});
+  VectorSet training = MakeTrainingQueries(data, 300, 16);
+  ASSERT_TRUE(graph.BuildFromQueries(training.View()).ok());
+  SearchResult res;
+  ASSERT_TRUE(graph.SearchTopK(data.query.data(), TopKParams{3, 10}, IdFilter{}, &res).ok());
+  EXPECT_EQ(res.hits.size(), 3u);
+  // The k hits are the head of the ef-wide beam.
+  SearchResult beam = GraphBeamSearch(graph.graph(), graph.vectors(),
+                                      graph.entry_point(), data.query.data(), 10);
+  for (size_t i = 0; i < res.hits.size(); ++i) EXPECT_EQ(res.hits[i].id, beam.hits[i].id);
+}
+
 TEST(RoarGraphTest, SearchBeforeBuildFails) {
   PlantedMips data(100, 16, 10, 7);
   RoarGraph graph(data.keys.View(), RoarGraphOptions{});
   SearchResult res;
-  EXPECT_EQ(graph.SearchTopK(data.query.data(), TopKParams{5, 0}, &res).code(),
+  EXPECT_EQ(graph.SearchTopK(data.query.data(), TopKParams{5, 0}, IdFilter{}, &res).code(),
             StatusCode::kFailedPrecondition);
   DiprParams dp;
-  EXPECT_EQ(graph.SearchDipr(data.query.data(), dp, &res).code(),
+  EXPECT_EQ(graph.SearchDipr(data.query.data(), dp, IdFilter{}, &res).code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -103,7 +118,7 @@ TEST(RoarGraphTest, EntryPointIsMaxNormKey) {
     training.Append(v.data());
   }
   ASSERT_TRUE(graph.BuildFromQueries(training.View()).ok());
-  EXPECT_EQ(graph.EntryPoint(nullptr), 50u);
+  EXPECT_EQ(graph.entry_point(), 50u);
 }
 
 TEST(RoarGraphTest, FilteredTopKRespectsPredicate) {
@@ -114,10 +129,7 @@ TEST(RoarGraphTest, FilteredTopKRespectsPredicate) {
   IdFilter filter;
   filter.prefix_len = 500;
   SearchResult res;
-  ASSERT_TRUE(graph
-                  .SearchTopKFiltered(data.query.data(), TopKParams{20, 64}, filter,
-                                      &res)
-                  .ok());
+  ASSERT_TRUE(graph.SearchTopK(data.query.data(), TopKParams{20, 64}, filter, &res).ok());
   for (const auto& h : res.hits) EXPECT_LT(h.id, 500u);
 }
 
@@ -137,8 +149,8 @@ TEST(RoarGraphTest, SequentialBuildMatchesParallelStructureQuality) {
   DiprParams params;
   params.beta = 11.f;
   SearchResult a, b;
-  ASSERT_TRUE(seq.SearchDipr(data.query.data(), params, &a).ok());
-  ASSERT_TRUE(par.SearchDipr(data.query.data(), params, &b).ok());
+  ASSERT_TRUE(seq.SearchDipr(data.query.data(), params, IdFilter{}, &a).ok());
+  ASSERT_TRUE(par.SearchDipr(data.query.data(), params, IdFilter{}, &b).ok());
   EXPECT_GE(data.Recall(a.hits), 0.8);
   EXPECT_GE(data.Recall(b.hits), 0.8);
   // The parallel stages (kNN per query, pruning per node) write disjoint
@@ -235,9 +247,9 @@ TEST(RoarGraphTest, ExtendedSearchMatchesScratchOnSharedPrefix) {
   DiprParams params;
   params.beta = 11.f;
   SearchResult ext_res, scr_res, base_res;
-  ASSERT_TRUE(extended.SearchDipr(prefix_data.query.data(), params, &ext_res).ok());
-  ASSERT_TRUE(scratch.SearchDipr(prefix_data.query.data(), params, &scr_res).ok());
-  ASSERT_TRUE(base.SearchDipr(prefix_data.query.data(), params, &base_res).ok());
+  ASSERT_TRUE(extended.SearchDipr(prefix_data.query.data(), params, IdFilter{}, &ext_res).ok());
+  ASSERT_TRUE(scratch.SearchDipr(prefix_data.query.data(), params, IdFilter{}, &scr_res).ok());
+  ASSERT_TRUE(base.SearchDipr(prefix_data.query.data(), params, IdFilter{}, &base_res).ok());
   const double ext_recall = prefix_recall(ext_res);
   const double scr_recall = prefix_recall(scr_res);
   EXPECT_GE(ext_recall, 0.8);
@@ -308,7 +320,7 @@ TEST(RoarGraphTest, ExtendFromPartialPrefixDropsOutOfPrefixEdges) {
   // Truncation may orphan prefix nodes; the connectivity pass must repair.
   EXPECT_DOUBLE_EQ(extended.ReachableFraction(), 1.0);
   // The entry is a live node of the new graph.
-  EXPECT_LT(extended.EntryPoint(nullptr), kTotal);
+  EXPECT_LT(extended.entry_point(), kTotal);
 }
 
 }  // namespace

@@ -272,6 +272,10 @@ TEST(ServingContinuousTest, MidStepBurstMatchesSequentialAcrossBudgetSplits) {
       EXPECT_EQ(r->prefilled_tokens, golden[i].prefilled_tokens) << "request " << i;
       ASSERT_EQ(r->outputs.size(), golden[i].outputs.size()) << "request " << i;
       EXPECT_EQ(r->outputs, golden[i].outputs) << "request " << i;
+      // The modeled total must not depend on how the budget chunked the
+      // prompt: bit-equal to the sequential golden under every split.
+      EXPECT_EQ(r->stats.modeled_gpu_seconds, golden[i].stats.modeled_gpu_seconds)
+          << "request " << i;
     }
     ASSERT_TRUE(engine.Shutdown().ok());
     // The burst was queued while the head's wave was parked and the driver

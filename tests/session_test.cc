@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/attention/attention_engine.h"
 #include "src/common/rng.h"
+#include "src/index/flat_index.h"
 
 namespace alaya {
 namespace {
@@ -169,6 +171,155 @@ TEST(SessionTest, PartialReuseNeverAttendsBeyondPrefix) {
     ASSERT_TRUE(session.Attention(layer, q.data(), out.data()).ok());
     for (size_t i = 0; i < qstride; ++i) {
       EXPECT_LT(std::abs(out[i]), 1e4f) << "layer " << layer << " i " << i;
+    }
+  }
+}
+
+// Every retrieval plan AttendHead can reach — the optimizer's three sparse
+// plans plus each fallback taken when the planned index was not built — with
+// and without the partial-reuse prefix filter. Each row names the index the
+// plan must reach; the expected counters are that index searched directly
+// (same params, filter and window prior) plus the window's inner products,
+// and the output must equal exact attention over the window, the local tail
+// and the retrieved tokens. Flat rows also pin their counts as literals
+// (a full scan's counts do not depend on the kernel's rounding).
+enum class Reached { kCoarse, kFine, kFlat };
+
+struct DispatchCase {
+  const char* name;
+  bool topk;         ///< Budget admits the coarse top-k plan (else DIPR).
+  bool coarse;       ///< Context builds coarse indices.
+  bool fine;         ///< Context builds fine (RoarGraph) indices.
+  uint32_t layer;
+  bool filtered;     ///< Partial reuse: prefix 400 of 600 stored tokens.
+  Reached reached;
+  size_t retrieved;  ///< Flat rows only (0 elsewhere).
+  uint64_t dist_comps;
+};
+
+TEST(SessionTest, RetrievalDispatchCoversEveryPlanAndFallback) {
+  using R = Reached;
+  const DispatchCase kCases[] = {
+      // name, topk, coarse, fine, layer, filtered, reached -> flat retrieved,
+      // flat dist_comps
+      {"coarse_topk",          true,  true,  true,  1, false, R::kCoarse, 0, 0},
+      {"coarse_topk_filtered", true,  true,  true,  1, true,  R::kCoarse, 0, 0},
+      {"topk_falls_to_fine",   true,  false, true,  1, false, R::kFine,   0, 0},
+      {"topk_falls_to_fine_f", true,  false, true,  1, true,  R::kFine,   0, 0},
+      {"topk_falls_to_flat",   true,  false, false, 1, false, R::kFlat, 768, 2592},
+      {"topk_falls_to_flat_f", true,  false, false, 1, true,  R::kFlat, 768, 1792},
+      {"flat_dipr_layer0",     false, false, true,  0, false, R::kFlat, 947, 2592},
+      {"flat_dipr_layer0_f",   false, false, true,  0, true,  R::kFlat, 637, 1792},
+      {"fine_dipr_layer1",     false, false, true,  1, false, R::kFine,   0, 0},
+      {"fine_dipr_layer1_f",   false, false, true,  1, true,  R::kFine,   0, 0},
+      {"dipr_falls_to_flat",   false, false, false, 1, false, R::kFlat, 956, 2592},
+      {"dipr_falls_to_flat_f", false, false, false, 1, true,  R::kFlat, 743, 1792},
+  };
+  const size_t n = 600;
+  const TopKParams topk{192, 0};
+  const DiprOptions dipr{8.0f, 32, 0};
+  const WindowConfig window{16, 32};
+  for (const DispatchCase& c : kCases) {
+    SCOPED_TRACE(c.name);
+    SessionFixture fx;
+    Context ctx(1, std::vector<int32_t>(n, 3), fx.MakeKv(n, 4242));
+    if (c.fine) {
+      ASSERT_TRUE(ctx.BuildFineIndices(IndexBuildOptions{}, nullptr, nullptr).ok());
+    }
+    if (c.coarse) ASSERT_TRUE(ctx.BuildCoarseIndices(CoarseIndexOptions{}).ok());
+
+    const uint32_t prefix = c.filtered ? 400 : n;
+    SessionOptions opts;
+    opts.optimizer.short_context_threshold = 128;
+    opts.optimizer.coarse_topk = topk;
+    opts.optimizer.dipr = dipr;
+    opts.window = window;
+    opts.gpu_budget_bytes = c.topk ? (1ull << 30) : 0;
+    Session session(fx.model, opts, &ctx, prefix, &fx.env);
+    ASSERT_EQ(session.partial_reuse(), c.filtered);
+
+    // Two local tokens, so the window prior also sees the session tail.
+    const size_t n_local = 2;
+    const size_t stride = fx.model.num_kv_heads * fx.model.head_dim;
+    const size_t qstride = fx.model.num_q_heads * fx.model.head_dim;
+    std::vector<float> q(qstride), k(stride), v(stride), out(qstride);
+    for (size_t t = 0; t < n_local; ++t) {
+      for (uint32_t layer = 0; layer < fx.model.num_layers; ++layer) {
+        fx.rng.FillGaussian(k.data(), stride);
+        fx.rng.FillGaussian(v.data(), stride);
+        ASSERT_TRUE(session.Update(layer, nullptr, k.data(), v.data()).ok());
+      }
+    }
+    fx.rng.FillGaussian(q.data(), qstride);
+    AttentionCallStats stats;
+    ASSERT_TRUE(session.Attention(c.layer, q.data(), out.data(), &stats).ok());
+
+    // The device window: the first 16 tokens and the 30 recent tokens that
+    // reach back into the prefix (32 recent minus the 2 local ones).
+    std::vector<uint32_t> window_ids;
+    for (uint32_t i = 0; i < window.initial_tokens; ++i) window_ids.push_back(i);
+    for (uint32_t i = prefix - (window.recent_tokens - n_local); i < prefix; ++i) {
+      window_ids.push_back(i);
+    }
+    const IdFilter filter{c.filtered ? prefix : UINT32_MAX};
+    const size_t d = fx.model.head_dim;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+    size_t retrieved = 0;
+    SearchStats search;
+    for (uint32_t h = 0; h < fx.model.num_q_heads; ++h) {
+      SCOPED_TRACE(h);
+      const uint32_t kvh = fx.model.KvHeadForQuery(h);
+      const float* qh = q.data() + h * d;
+      const VectorSetView keys = ctx.kv().Keys(c.layer, kvh);
+      const VectorSetView values = ctx.kv().Values(c.layer, kvh);
+      const VectorSetView local_keys = session.local_kv().Keys(c.layer, kvh);
+      const VectorSetView local_values = session.local_kv().Values(c.layer, kvh);
+      DiprParams params{dipr, -1e30f};
+      for (uint32_t id : window_ids) {
+        params.prior_best_ip = std::max(params.prior_best_ip, Dot(qh, keys.Vec(id), d));
+      }
+      for (uint32_t i = 0; i < n_local; ++i) {
+        params.prior_best_ip = std::max(params.prior_best_ip, Dot(qh, local_keys.Vec(i), d));
+      }
+      search.dist_comps += window_ids.size() + n_local;
+
+      const FlatIndex flat(keys);
+      const VectorIndex* index = &flat;
+      if (c.reached == Reached::kCoarse) index = ctx.CoarseIdx(c.layer, kvh);
+      if (c.reached == Reached::kFine) index = ctx.FineIndex(c.layer, h);
+      ASSERT_NE(index, nullptr);
+      SearchResult hits;
+      if (c.topk) {
+        ASSERT_TRUE(index->SearchTopK(qh, topk, filter, &hits).ok());
+      } else {
+        ASSERT_TRUE(index->SearchDipr(qh, params, filter, &hits).ok());
+      }
+      retrieved += hits.hits.size();
+      search += hits.stats;
+
+      // Exact attention over window + retrieved (deduplicated) + local tail.
+      std::vector<uint32_t> ids = window_ids;
+      for (const ScoredId& hit : hits.hits) ids.push_back(hit.id);
+      std::sort(ids.begin(), ids.end());
+      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+      PartialAttention state(d);
+      AccumulatePartition(qh, KvPartition{keys, values, ids, 0, 0}, scale, &state);
+      AccumulatePartition(qh, KvPartition{local_keys, local_values, {}, 0,
+                                          static_cast<uint32_t>(n_local)},
+                          scale, &state);
+      std::vector<float> ref(d);
+      state.Finalize(ref.data());
+      for (size_t j = 0; j < d; ++j) EXPECT_NEAR(out[h * d + j], ref[j], 1e-4f);
+    }
+    EXPECT_EQ(stats.retrieved_tokens, retrieved);
+    EXPECT_EQ(stats.search.dist_comps, search.dist_comps);
+    EXPECT_EQ(stats.search.hops, search.hops);
+    EXPECT_EQ(stats.search.appended, search.appended);
+    if (c.reached == Reached::kFlat) {
+      EXPECT_EQ(stats.retrieved_tokens, c.retrieved);
+      EXPECT_EQ(stats.search.dist_comps, c.dist_comps);
+      EXPECT_EQ(stats.search.hops, 0u);
+      EXPECT_EQ(stats.search.appended, 0u);
     }
   }
 }

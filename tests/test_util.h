@@ -115,7 +115,7 @@ inline void ExpectGraphsIdentical(const RoarGraph& a, const RoarGraph& b) {
     ASSERT_EQ(na.size(), nb.size()) << "node " << u;
     for (size_t i = 0; i < na.size(); ++i) EXPECT_EQ(na[i], nb[i]) << "node " << u;
   }
-  EXPECT_EQ(a.EntryPoint(nullptr), b.EntryPoint(nullptr));
+  EXPECT_EQ(a.entry_point(), b.entry_point());
 }
 
 }  // namespace testutil

@@ -168,6 +168,36 @@ TEST(TieredStoreTest, BudgetEvictionThenPageInIsBitIdentical) {
   EXPECT_LE(fx.env.host_memory().peak(), fx.options.tier.host_budget_bytes);
 }
 
+// --- Token ids beyond float's 24-bit mantissa (the engine's synthetic stored
+// --- ids live in [2^30, 2^31)) must survive spill and page-in bit-exactly;
+// --- otherwise page-in rejects the restored context and the session cold-starts.
+
+TEST(TieredStoreTest, LargeTokenIdsSurviveSpillAndPageIn) {
+  constexpr size_t kTokens = 200;
+  constexpr int32_t kBigId = (1 << 30) + 5;
+  TierFixture fx;
+  const uint64_t ctx_bytes = kTokens * fx.model.KvBytesPerToken();
+  fx.options.tier.host_budget_bytes = ctx_bytes + ctx_bytes / 2;
+  AlayaDB db(fx.options, &fx.env);
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 3; ++i) {
+    auto imported = db.Import(fx.TokenRange(kBigId + i * 1000, kTokens),
+                              fx.MakeKv(kTokens, 70 + i));
+    ASSERT_TRUE(imported.ok());
+    ids.push_back(imported.value());
+  }
+  ASSERT_TRUE(db.contexts().IsSpilled(ids[0]));
+
+  const std::vector<int32_t> prompt = fx.TokenRange(kBigId, kTokens);
+  auto created = db.CreateSession(prompt);
+  ASSERT_TRUE(created.ok());
+  EXPECT_EQ(created.value().reused_prefix, kTokens);
+  EXPECT_EQ(created.value().context_id, ids[0]);
+  ASSERT_NE(created.value().context_ref, nullptr);
+  EXPECT_EQ(created.value().context_ref->tokens(), prompt);
+  EXPECT_GE(db.tiers()->stats().page_ins, 1u);
+}
+
 // --- Acceptance: a session pinning a context survives its eviction (the pin
 // --- keeps the payload alive; the store only drops its own reference), and
 // --- the later page-in decodes bit-identically.

@@ -40,7 +40,7 @@ TEST_P(TaskSweep, FlatDiprRecallsPlantedSetAtSuggestedBeta) {
       SearchResult res;
       DiprParams params;
       params.beta = beta;
-      ASSERT_TRUE(flat.SearchDipr(q.data(), params, &res).ok());
+      ASSERT_TRUE(flat.SearchDipr(q.data(), params, IdFilter{}, &res).ok());
       const auto& critical = ctx.CriticalSet(0, layer, h);
       if (critical.empty()) continue;
       std::vector<bool> got(ctx.num_tokens(), false);
@@ -72,7 +72,7 @@ TEST_P(TaskSweep, DiprCountGrowsMonotonicallyWithBeta) {
     SearchResult res;
     DiprParams params;
     params.beta = static_cast<float>(base * f);
-    ASSERT_TRUE(flat.SearchDipr(q.data(), params, &res).ok());
+    ASSERT_TRUE(flat.SearchDipr(q.data(), params, IdFilter{}, &res).ok());
     EXPECT_GE(res.hits.size(), prev) << GetParam() << " f=" << f;
     prev = res.hits.size();
   }
